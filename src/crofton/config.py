@@ -46,8 +46,8 @@ class Config:
     def validate(self) -> None:
         if not (math.isfinite(self.a) and self.a > 1.0):
             raise ConfigError(f"a must exceed 1, got {self.a}")
-        if self.t <= 0.0:
-            raise ConfigError(f"t must be positive, got {self.t}")
+        if not (math.isfinite(self.t) and self.t > 0.0):
+            raise ConfigError(f"t must be finite and positive, got {self.t}")
         if self.replications < 1:
             raise ConfigError("replications must be >= 1")
         if self.path_length < 0:

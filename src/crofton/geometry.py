@@ -34,6 +34,9 @@ __all__ = [
     "contains",
     "contains_point",
     "contains_origin_interior",
+    "intersection",
+    "box_of",
+    "rects_contain_boxes",
     "centered_square",
     "box",
     "regular_polygon",
@@ -178,6 +181,34 @@ def _clip_cell(verts, a: float, b: float, c: float):
     return out
 
 
+def _intersect_tuples(avt, bvt):
+    """Clip the ccw vertex list avt by every edge of the ccw list bvt; None when empty."""
+    verts = avt
+    n = len(bvt)
+    for i in range(n):
+        x0, y0 = bvt[i]
+        x1, y1 = bvt[(i + 1) % n]
+        a, b = y1 - y0, x0 - x1
+        verts = _clip_cell(verts, a, b, a * x0 + b * y0)
+        if verts is None:
+            return None
+    return verts
+
+
+def _contains_tuples(cell_verts, body_verts, tol: float = EPS_GEOM) -> bool:
+    """Closed containment of one ccw vertex list in another, ties within tol inside."""
+    n = len(cell_verts)
+    for i in range(n):
+        x0, y0 = cell_verts[i]
+        x1, y1 = cell_verts[(i + 1) % n]
+        a, b = y1 - y0, x0 - x1
+        limit = a * x0 + b * y0 + tol * math.hypot(a, b)
+        for x, y in body_verts:
+            if a * x + b * y > limit:
+                return False
+    return True
+
+
 def _rotate_canonical(verts):
     k = min(range(len(verts)), key=lambda i: verts[i])
     return verts[k:] + verts[:k]
@@ -269,10 +300,19 @@ class ConvexPolygon:
         return f"ConvexPolygon({self.n_vertices} vertices, area={self._area:.6g})"
 
     def close_to(self, other: "ConvexPolygon", tol: float = EPS_GEOM) -> bool:
-        """Vertex-set equality within tol (both are canonically rotated)."""
-        if self.n_vertices != other.n_vertices:
+        """Vertex-cycle equality within tol.
+
+        Both vertex arrays start at their lexicographically smallest vertex,
+        but round-off can pick different starts for one polygon, so every
+        rotation of the other cycle is tried after the canonical one.
+        """
+        n = self.n_vertices
+        if n != other.n_vertices:
             return False
-        return bool(np.all(np.abs(self._vertices - other._vertices) <= tol))
+        return any(
+            bool(np.all(np.abs(self._vertices - np.roll(other._vertices, k, axis=0)) <= tol))
+            for k in range(n)
+        )
 
     def to_json(self):
         """JSON representation: array of [x, y] pairs, counter-clockwise."""
@@ -285,6 +325,12 @@ class ConvexPolygon:
 
 # ---------------------------------------------------------------------------
 # constructors
+
+
+def _rect_to_polygon(rect) -> ConvexPolygon:
+    """The axis rectangle (x0, x1, y0, y1) as a polygon."""
+    x0, x1, y0, y1 = rect
+    return ConvexPolygon._trusted([(x0, y0), (x1, y0), (x1, y1), (x0, y1)])
 
 
 def centered_square(side: float) -> ConvexPolygon:
@@ -371,13 +417,32 @@ def contains_point(polygon: ConvexPolygon, x: float, y: float, tol: float = EPS_
 
 def contains(outer: ConvexPolygon, inner: ConvexPolygon) -> bool:
     """Closed containment: every vertex of inner lies in outer (ties count as contained)."""
-    for a, b, c in outer.edge_halfplanes():
-        scale_ab = math.hypot(a, b)
-        limit = c + EPS_GEOM * scale_ab
-        for x, y in inner._vertices:
-            if a * x + b * y > limit:
-                return False
-    return True
+    return _contains_tuples(outer.as_tuples(), inner.as_tuples())
+
+
+def intersection(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPolygon | None:
+    """The common part of two convex polygons; None when its interior vanishes."""
+    out = _intersect_tuples(a.as_tuples(), b.as_tuples())
+    return None if out is None else ConvexPolygon._trusted(out)
+
+
+def box_of(vertices) -> tuple[float, float, float, float]:
+    """Bounding box (x0, x1, y0, y1) of an (n, 2) vertex array."""
+    xs, ys = zip(*np.asarray(vertices, dtype=float).tolist())
+    return min(xs), max(xs), min(ys), max(ys)
+
+
+def rects_contain_boxes(x0, x1, y0, y1, boxes, tol: float = EPS_GEOM) -> np.ndarray:
+    """(m, k) bools: axis rectangle i, given by four (m,) bound arrays, contains box j.
+
+    A box (bx0, bx1, by0, by1) lies in a rectangle exactly when any convex
+    body with that bounding box does; ties within tol count as contained, and
+    NaN bounds contain nothing.
+    """
+    out = np.empty((len(x0), len(boxes)), dtype=bool)
+    for j, (bx0, bx1, by0, by1) in enumerate(boxes):
+        out[:, j] = (x0 <= bx0 + tol) & (x1 >= bx1 - tol) & (y0 <= by0 + tol) & (y1 >= by1 - tol)
+    return out
 
 
 def contains_origin_interior(polygon: ConvexPolygon) -> bool:

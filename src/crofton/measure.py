@@ -290,10 +290,15 @@ def sample_hitting(measure, body: ConvexPolygon, rng) -> Line:
     return Line(Direction(phi), offset)
 
 
+def _check_time(time: float) -> None:
+    """Reject a time that is not finite and positive; NaN or inf would never finish a run."""
+    if not (math.isfinite(time) and time > 0.0):
+        raise ValueError(f"time must be finite and positive, got {time}")
+
+
 def sample_poisson_hitting(measure, body: ConvexPolygon, time: float, rng) -> list:
     """Poisson(time * Lambda([body])) many i.i.d. hitting lines."""
-    if time <= 0.0:
-        raise ValueError(f"time must be positive, got {time}")
+    _check_time(time)
     mu = time * lambda_of(measure, body)
     count = int(rng.poisson(mu))
     return [sample_hitting(measure, body, rng) for _ in range(count)]

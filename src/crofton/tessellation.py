@@ -3,7 +3,8 @@
 The splitting process starts from the trivial tessellation of a convex window;
 each cell independently waits an exponential lifetime with rate equal to its
 line-hitting mass, then is divided by a line drawn from the measure restricted
-to lines hitting that cell. The Poisson line tessellation instead drops a
+to lines hitting that cell. It is run one generation of cells at a time, for
+many independent runs at once. The Poisson line tessellation instead drops a
 single Poisson population of lines on the window. Both are exact samplers of
 their window marginals; refinement (nesting one tessellation into the cells of
 another) and superposition of line populations are provided alongside.
@@ -13,22 +14,38 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import SimulationAbort
 from .geometry import (
     EPS_GEOM,
     ConvexPolygon,
     _area2,
     _clip_cell,
+    _intersect_tuples,
+    _rect_to_polygon,
+    box_of,
     contains,
     contains_origin_interior,
+    intersection,
+    rects_contain_boxes,
     split,
 )
-from .measure import LineMeasure, axis_weights, lambda_of, sample_hitting, sample_poisson_hitting
+from .measure import (
+    LineMeasure,
+    _check_time,
+    axis_weights,
+    lambda_of,
+    sample_hitting,
+    sample_poisson_hitting,
+)
 
 __all__ = [
     "Tessellation",
     "StitState",
+    "StitBatch",
     "PoissonLines",
+    "stit_batch",
     "stit_run",
     "stit_run_detailed",
     "pht_sample_lines",
@@ -69,8 +86,6 @@ class Tessellation:
 
     def validate(self) -> None:
         """Full partition check: area sum, containment, pairwise disjoint interiors."""
-        from .zero_cell import _intersect_tuples
-
         self.check_area_partition()
         for c in self.cells:
             if not contains(self.window, c):
@@ -132,96 +147,178 @@ def _is_axis_box(window: ConvexPolygon) -> bool:
     return True
 
 
-def _stit_rects(wx: float, wy: float, window: ConvexPolygon, t: float, rng, max_jumps: int):
-    """Interval-arithmetic splitting run for axis measures on box windows."""
-    v = window.vertices
-    x0, y0 = float(v[:, 0].min()), float(v[:, 1].min())
-    x1, y1 = float(v[:, 0].max()), float(v[:, 1].max())
-    cells = [(x0, x1, y0, y1)]
-    rates = [wx * (x1 - x0) + wy * (y1 - y0)]
-    total = rates[0]
-    clock = 0.0
-    jumps = 0
-    # refillable uniform buffer: 4 draws per jump (gap, cell choice, direction, offset)
-    buf = rng.random(512)
-    pos = 0
-    while True:
-        if pos + 4 > buf.size:
-            buf = rng.random(max(512, 4 * 64))
-            pos = 0
-        u_gap, u_cell, u_dir, u_off = buf[pos : pos + 4]
-        pos += 4
-        gap = -math.log1p(-u_gap) / total
-        if clock + gap > t:
-            return cells, clock, jumps
-        clock += gap
-        jumps += 1
-        if jumps > max_jumps:
-            raise SimulationAbort(f"jump cap {max_jumps} exceeded at time {clock:.6g}")
-        target = u_cell * total
-        acc = 0.0
-        idx = len(cells) - 1
-        for i, rt in enumerate(rates):
-            acc += rt
-            if target < acc:
-                idx = i
-                break
-        cx0, cx1, cy0, cy1 = cells[idx]
-        rate = rates[idx]
-        if u_dir * rate < wx * (cx1 - cx0):
-            cut = cx0 + u_off * (cx1 - cx0)
-            a = (cx0, cut, cy0, cy1)
-            b = (cut, cx1, cy0, cy1)
-        else:
-            cut = cy0 + u_off * (cy1 - cy0)
-            a = (cx0, cx1, cy0, cut)
-            b = (cx0, cx1, cut, cy1)
-        cells[idx] = a
-        cells.append(b)
-        ra = wx * (a[1] - a[0]) + wy * (a[3] - a[2])
-        rb = wx * (b[1] - b[0]) + wy * (b[3] - b[2])
-        total += ra + rb - rate
-        rates[idx] = ra
-        rates.append(rb)
+class _RectCells:
+    """Axis rectangles as rows (x0, x1, y0, y1) of a float array; vertical lines have mass wx.
+
+    A missing zero cell is a NaN row, which meets to NaN and contains nothing.
+    """
+
+    def __init__(self, wx: float, wy: float):
+        self.wx, self.wy = wx, wy
+
+    def rates(self, rects: np.ndarray) -> np.ndarray:
+        return self.wx * (rects[:, 1] - rects[:, 0]) + self.wy * (rects[:, 3] - rects[:, 2])
+
+    def cut(self, rects: np.ndarray, rates: np.ndarray, rng) -> np.ndarray:
+        """Both children of every rectangle, all low sides first, then all high sides."""
+        n = len(rects)
+        u_dir, u_off = rng.random((2, n))
+        # flat index of the lower bound (x0 or y0) each cut moves the other way
+        lo = np.where(u_dir * rates < self.wx * (rects[:, 1] - rects[:, 0]), 0, 2) + np.arange(0, 4 * n, 4)
+        out = np.concatenate((rects, rects))
+        flat = out.reshape(-1)
+        a, b = flat[lo], flat[lo + 1]
+        flat[lo + 1] = flat[lo + 4 * n] = a + u_off * (b - a)
+        return out
+
+    def polygons(self, rects: np.ndarray) -> list:
+        return [_rect_to_polygon(row) for row in rects.tolist()]
+
+    def zero_cells(self, c: np.ndarray, owner: np.ndarray, m: int) -> np.ndarray:
+        hit = (c[:, 0] < -EPS_GEOM) & (c[:, 1] > EPS_GEOM) & (c[:, 2] < -EPS_GEOM) & (c[:, 3] > EPS_GEOM)
+        out = np.full((m, 4), np.nan)
+        out[owner[hit]] = c[hit]
+        return out
+
+    def meet(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        # raise the lower bounds x0, y0; lower the upper ones
+        return np.where(np.arange(4) % 2 == 0, np.maximum(a, b), np.minimum(a, b))
+
+    def contain(self, rects: np.ndarray, bodies) -> np.ndarray:
+        return rects_contain_boxes(*rects.T, [box_of(b.vertices) for b in bodies])
 
 
-def _stit_generic(measure: LineMeasure, window: ConvexPolygon, t: float, rng, max_jumps: int):
-    cells = [window]
-    rates = [lambda_of(measure, window)]
-    total = rates[0]
-    clock = 0.0
-    jumps = 0
+class _PolyCells:
+    """Cells as an object array of polygons, for any measure and window; a missing zero cell is None."""
+
+    def __init__(self, measure: LineMeasure):
+        self.measure = measure
+
+    def rates(self, polys: np.ndarray) -> np.ndarray:
+        return np.array([lambda_of(self.measure, p) for p in polys])
+
+    def cut(self, polys: np.ndarray, rates, rng) -> np.ndarray:
+        """Both children of every polygon, all low sides first, then all high sides."""
+        out = np.empty((2, len(polys)), dtype=object)
+        for i, cell in enumerate(polys):
+            for _ in range(64):  # grazing lines are a measure-zero event
+                parts = split(cell, sample_hitting(self.measure, cell, rng))
+                if parts is not None:
+                    break
+            else:
+                raise SimulationAbort("could not split a cell with 64 sampled lines")
+            out[:, i] = parts
+        return out.ravel()
+
+    def polygons(self, polys: np.ndarray) -> list:
+        return list(polys)
+
+    def zero_cells(self, polys: np.ndarray, owner: np.ndarray, m: int) -> list:
+        out = [None] * m
+        for cell, run in zip(polys, owner):
+            if out[run] is None and contains_origin_interior(cell):
+                out[run] = cell
+        return out
+
+    def meet(self, a: list, b: list) -> list:
+        return [None if p is None or q is None else intersection(p, q) for p, q in zip(a, b)]
+
+    def contain(self, polys: list, bodies) -> np.ndarray:
+        out = np.zeros((len(polys), len(bodies)), dtype=bool)
+        for r, cell in enumerate(polys):
+            if cell is not None:
+                out[r] = [contains(cell, body) for body in bodies]
+        return out
+
+
+@dataclass(frozen=True)
+class StitBatch:
+    """Final cells of m independent splitting runs on one window.
+
+    Axis measures on box windows keep the cells as rows (x0, x1, y0, y1) of a
+    (k, 4) array, any other measure as a (k,) object array of polygons; kind
+    knows which. owner[i] is the run of cell i; clock and jumps hold each
+    run's last split time and split count.
+    """
+
+    window: ConvexPolygon
+    kind: object
+    cells: np.ndarray
+    owner: np.ndarray
+    clock: np.ndarray
+    jumps: np.ndarray
+
+    @property
+    def n_cells(self) -> int:
+        """Cells over all runs."""
+        return len(self.owner)
+
+    def tessellation(self, run: int = 0) -> Tessellation:
+        mine = self.cells if len(self.clock) == 1 else self.cells[self.owner == run]
+        return Tessellation(self.window, self.kind.polygons(mine))
+
+    def zero_cells(self):
+        """Per run, the cell with the origin in its interior, in the format of cells;
+        a NaN row, or None, when the origin lies on a cell boundary."""
+        return self.kind.zero_cells(self.cells, self.owner, len(self.clock))
+
+    def zero_cells_contain(self, bodies, meet: "StitBatch | None" = None) -> np.ndarray:
+        """(m, k) bools: the zero cell of run r contains body j.
+
+        With meet, each zero cell is first intersected with the zero cell of
+        the same run of the other batch. A missing zero cell contains nothing.
+        """
+        zero = self.zero_cells()
+        if meet is not None:
+            zero = self.kind.meet(zero, meet.zero_cells())
+        return self.kind.contain(zero, bodies)
+
+
+def stit_batch(
+    measure: LineMeasure,
+    window: ConvexPolygon,
+    t: float,
+    rng,
+    m: int,
+    max_jumps: int = DEFAULT_MAX_JUMPS,
+) -> StitBatch:
+    """Run m independent splitting processes to time t, one generation of cells at a time.
+
+    Every live cell dies at birth + Exp(1) / Lambda([cell]). A cell that dies
+    after t is final; any other is cut by one line from the measure restricted
+    to it, and both children are born at its death. By competing exponentials
+    and memorylessness this is the law of the global-clock jump chain (Nagel &
+    Weiss, Adv. Appl. Prob. 37, 2005). max_jumps caps the splits of each run.
+    """
+    _check_time(t)
+    ww = axis_weights(measure.kappa)
+    if ww is not None and _is_axis_box(window):
+        kind, first = _RectCells(*ww), np.array([box_of(window.vertices)])
+    else:
+        kind, first = _PolyCells(measure), np.array([window], dtype=object)
+    cells, birth, owner = np.repeat(first, m, axis=0), np.zeros(m), np.arange(m)
+    jumps = np.zeros(m, dtype=np.int64)
+    final, final_birth, final_owner = [], [], []
     while True:
-        gap = rng.exponential() / total
-        if clock + gap > t:
-            return cells, clock, jumps
-        clock += gap
-        jumps += 1
-        if jumps > max_jumps:
-            raise SimulationAbort(f"jump cap {max_jumps} exceeded at time {clock:.6g}")
-        target = rng.random() * total
-        acc = 0.0
-        idx = len(cells) - 1
-        for i, rt in enumerate(rates):
-            acc += rt
-            if target < acc:
-                idx = i
-                break
-        cell = cells[idx]
-        parts = None
-        for _ in range(64):  # grazing lines are a measure-zero event
-            parts = split(cell, sample_hitting(measure, cell, rng))
-            if parts is not None:
-                break
-        if parts is None:
-            raise SimulationAbort("could not split a cell with 64 sampled lines")
-        pa, pb = parts
-        ra, rb = lambda_of(measure, pa), lambda_of(measure, pb)
-        total += ra + rb - rates[idx]
-        cells[idx] = pa
-        rates[idx] = ra
-        cells.append(pb)
-        rates.append(rb)
+        rates = kind.rates(cells)
+        death = birth + rng.standard_exponential(len(owner)) / rates
+        done = death > t
+        final.append(cells[done])
+        final_birth.append(birth[done])
+        final_owner.append(owner[done])
+        if done.all():
+            break
+        live = ~done
+        owner, death = owner[live], death[live]
+        jumps += np.bincount(owner, minlength=m)
+        if jumps.max() > max_jumps:
+            raise SimulationAbort(f"jump cap {max_jumps} exceeded by time {death.max():.6g}")
+        cells = kind.cut(cells[live], rates[live], rng)
+        birth, owner = np.concatenate((death, death)), np.concatenate((owner, owner))
+    # the children of a run's last split are final, so its clock is their birth
+    owner, birth, clock = np.concatenate(final_owner), np.concatenate(final_birth), np.zeros(m)
+    np.maximum.at(clock, owner, birth)
+    return StitBatch(window, kind, np.concatenate(final), owner, clock, jumps)
 
 
 def stit_run_detailed(
@@ -232,18 +329,8 @@ def stit_run_detailed(
     max_jumps: int = DEFAULT_MAX_JUMPS,
 ) -> StitState:
     """Run the splitting process to time t and keep the clock and jump count."""
-    if t <= 0.0:
-        raise ValueError(f"t must be positive, got {t}")
-    ww = axis_weights(measure.kappa)
-    if ww is not None and _is_axis_box(window):
-        rects, clock, jumps = _stit_rects(ww[0], ww[1], window, t, rng, max_jumps)
-        cells = tuple(
-            ConvexPolygon._trusted([(a, c), (b, c), (b, d), (a, d)]) for a, b, c, d in rects
-        )
-    else:
-        polys, clock, jumps = _stit_generic(measure, window, t, rng, max_jumps)
-        cells = tuple(polys)
-    return StitState(Tessellation(window, cells), clock, jumps)
+    batch = stit_batch(measure, window, t, rng, 1, max_jumps)
+    return StitState(batch.tessellation(), float(batch.clock[0]), int(batch.jumps[0]))
 
 
 def stit_run(
@@ -263,8 +350,7 @@ def stit_run(
 
 def pht_sample_lines(measure: LineMeasure, window: ConvexPolygon, t: float, rng) -> PoissonLines:
     """Poisson(t * Lambda([window])) many i.i.d. window-hitting lines."""
-    if t <= 0.0:
-        raise ValueError(f"t must be positive, got {t}")
+    _check_time(t)
     return PoissonLines(window, tuple(sample_poisson_hitting(measure, window, t, rng)))
 
 

@@ -23,11 +23,15 @@ from .geometry import (
     EPS_GEOM,
     ConvexPolygon,
     _clip_cell,
+    _contains_tuples,
+    _intersect_tuples,
+    _rect_to_polygon,
+    box_of,
     contains,
     contains_origin_interior,
     scale,
 )
-from .measure import LineMeasure, _sample_directions, axis_weights, kappa_total
+from .measure import LineMeasure, _check_time, _sample_directions, axis_weights, kappa_total
 
 __all__ = [
     "ZeroCellPath",
@@ -115,11 +119,6 @@ class _RectZeroCellSampler:
                     f"zero cell still unbounded at radius {r:.3e}; "
                     "the directional measure may not span the plane"
                 )
-
-
-def _rect_to_polygon(rect) -> ConvexPolygon:
-    x0, x1, y0, y1 = rect
-    return ConvexPolygon._trusted([(x0, y0), (x1, y0), (x1, y1), (x0, y1)])
 
 
 class _RectBatchZeroCells:
@@ -236,8 +235,7 @@ def sample_zero_cell(
     The containment law is P(cell contains K) = exp(-time * Lambda([K])) for
     any convex K with the origin in its interior.
     """
-    if time <= 0.0:
-        raise ValueError(f"time must be positive, got {time}")
+    _check_time(time)
     sampler = _make_sampler(measure, time, r_max_factor)
     out = sampler.sample(rng)
     if isinstance(sampler, _RectZeroCellSampler):
@@ -275,19 +273,6 @@ class IndicatorSequence:
 
     body: ConvexPolygon
     bits: np.ndarray
-
-
-def _intersect_tuples(avt, bvt):
-    verts = avt
-    n = len(bvt)
-    for i in range(n):
-        x0, y0 = bvt[i]
-        x1, y1 = bvt[(i + 1) % n]
-        a, b = y1 - y0, x0 - x1
-        verts = _clip_cell(verts, a, b, a * x0 + b * y0)
-        if verts is None:
-            return None
-    return verts
 
 
 def sample_gamma_path(measure: LineMeasure, a: float, n_steps: int, rng) -> ZeroCellPath:
@@ -348,19 +333,6 @@ def indicators_pair(path: ZeroCellPath, body: ConvexPolygon, a: float | None = N
 # indicator-path engines (consumed by the Monte Carlo harness)
 
 
-def _contains_tuples(cell_verts, body_verts, tol: float = EPS_GEOM) -> bool:
-    n = len(cell_verts)
-    for i in range(n):
-        x0, y0 = cell_verts[i]
-        x1, y1 = cell_verts[(i + 1) % n]
-        a, b = y1 - y0, x0 - x1
-        limit = a * x0 + b * y0 + tol * math.hypot(a, b)
-        for x, y in body_verts:
-            if a * x + b * y > limit:
-                return False
-    return True
-
-
 class _RectPathEngine:
     """Vectorized indicator paths: all replications of a block step together."""
 
@@ -368,17 +340,12 @@ class _RectPathEngine:
         self.batch = _RectBatchZeroCells(measure, time)
         self.a = a
         self.f = a / (a - 1.0)
-        self.boxes = []
-        for b in bodies:
-            v = b.vertices
-            self.boxes.append(
-                (
-                    float(v[:, 0].min()) + EPS_GEOM,
-                    float(v[:, 0].max()) - EPS_GEOM,
-                    float(v[:, 1].min()) + EPS_GEOM,
-                    float(v[:, 1].max()) - EPS_GEOM,
-                )
-            )
+        # the test of geometry.rects_contain_boxes with its tolerance folded into the
+        # boxes once, since the streamed path (_bits_one) tests one scalar cell per step
+        self.boxes = [
+            (bx0 + EPS_GEOM, bx1 - EPS_GEOM, by0 + EPS_GEOM, by1 - EPS_GEOM)
+            for bx0, bx1, by0, by1 in (box_of(b.vertices) for b in bodies)
+        ]
 
     def _bits(self, x0, x1, y0, y1, out):
         for k, (bx0, bx1, by0, by1) in enumerate(self.boxes):

@@ -113,6 +113,12 @@ class TestSampleCommands:
     def test_bad_window_spec(self, capsys):
         assert main(["sample", "stit", "--seed", "1", "--window", "nope:1"]) == 2
 
+    @pytest.mark.parametrize("t", ["nan", "inf"])
+    def test_non_finite_time_is_a_config_error(self, t, capsys):
+        assert main(["sample", "stit", "--t", t, "--seed", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "finite and positive" in err
+
     def test_simulation_abort_maps_to_exit_3(self, monkeypatch, capsys):
         import crofton.cli as cli_mod
         from crofton.errors import SimulationAbort

@@ -269,3 +269,12 @@ class TestValidation:
     def test_json_round_trip(self):
         p = regular_polygon(7, 1.3, 0.4)
         assert ConvexPolygon.from_json(p.to_json()).close_to(p, tol=0.0)
+
+    def test_close_to_ignores_round_off_in_the_start_vertex(self):
+        # the left edge leans by 1e-15, so the canonical start moves to the top-left vertex
+        exact = box(-1.0, -1.0, 1.0, 1.0)
+        noisy = ConvexPolygon([(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0 - 1e-15, 1.0)])
+        assert noisy.vertices[0].tolist() != exact.vertices[0].tolist()
+        assert noisy.close_to(exact) and exact.close_to(noisy)
+        assert not noisy.close_to(exact, tol=0.0)
+        assert not box(-1.0, -1.0, 1.0, 2.0).close_to(exact)

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from scipy.stats import ttest_ind
 
+import crofton.verify as verify_mod
 from crofton.errors import SimulationAbort
-from crofton.geometry import box, centered_square, contains, scale
-from crofton.measure import Discrete, LineMeasure, discrete_xy, isotropic
+from crofton.geometry import _rect_to_polygon, box, centered_square, contains, intersection, scale
+from crofton.measure import Discrete, LineMeasure, discrete_xy, isotropic, sample_poisson_hitting
 from crofton.montecarlo import two_sample_containment_test
 from crofton.rng import substream
 from crofton.tessellation import (
@@ -16,6 +17,7 @@ from crofton.tessellation import (
     pht_run,
     pht_sample_lines,
     restrict,
+    stit_batch,
     stit_run,
     stit_run_detailed,
     superpose,
@@ -23,12 +25,15 @@ from crofton.tessellation import (
     touches_boundary,
     zero_cell_of,
 )
+from crofton.verify import stit_zero_cell_events
 
 from _oracles import arrangement_cell_count, literal_split_process_cells
 
 XY = discrete_xy()
+ISO = isotropic()
 W1 = centered_square(1.0)  # Lambda([W]) = 1
 W2 = centered_square(2.0)  # Lambda([W]) = 2
+BOTH = pytest.mark.parametrize("measure", [XY, ISO], ids=["discrete-xy", "isotropic"])
 
 
 class TestSplittingProcess:
@@ -80,6 +85,51 @@ class TestSplittingProcess:
         with pytest.raises(SimulationAbort):
             stit_run(XY, centered_square(10.0), 5.0, substream(208, 0), max_jumps=10)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_non_finite_or_nonpositive_time_rejected(self, t):
+        rng = substream(208, 1)
+        for run in (stit_run, stit_run_detailed, pht_sample_lines):
+            with pytest.raises(ValueError, match="finite and positive"):
+                run(XY, W1, t, rng)
+        with pytest.raises(ValueError, match="finite and positive"):
+            stit_batch(ISO, W1, t, rng, 3)
+        with pytest.raises(ValueError, match="finite and positive"):
+            sample_poisson_hitting(XY, W1, t, rng)
+
+    @BOTH
+    def test_batch_runs_partition_the_window(self, measure):
+        t, m = 1.5, 40
+        batch = stit_batch(measure, W2, t, substream(208, 2), m)
+        counts = np.bincount(batch.owner, minlength=m)
+        assert np.array_equal(batch.jumps, counts - 1)
+        assert np.all((batch.clock >= 0.0) & (batch.clock <= t))
+        assert np.all(batch.clock[counts == 1] == 0.0)
+        for r in range(m):
+            tess = batch.tessellation(r)  # checks that the areas add up to the window
+            assert tess.n_cells == counts[r]
+        batch.tessellation(int(np.argmax(counts))).validate()
+        zero = batch.zero_cells()
+        for r in range(m):
+            cell = zero[r] if isinstance(zero, list) else _rect_to_polygon(zero[r])
+            assert cell.close_to(zero_cell_of(batch.tessellation(r)))
+
+    @BOTH
+    def test_zero_cell_containment_matches_literal_construction_oracle(self, measure):
+        # the batch driver against the literal clock race on containment frequencies,
+        # for a centred body and a wide one reaching close to the window boundary
+        bodies = [centered_square(0.5), box(-0.45, -0.05, 0.45, 0.05)]
+
+        def literal(rng, m):
+            out = np.empty((m, len(bodies)), dtype=bool)
+            for r in range(m):
+                cell = zero_cell_of(Tessellation(W1, literal_split_process_cells(measure, W1, 2.0, rng)))
+                out[r] = [cell is not None and contains(cell, b) for b in bodies]
+            return out
+
+        batch = stit_zero_cell_events(measure, W1, 2.0, bodies)
+        res = two_sample_containment_test(batch, literal, bodies, 5000, seed=231)
+        assert res.passed
+
     def test_restriction_consistency(self):
         # running in the big window and restricting must match running in the small one
         k = centered_square(0.6)
@@ -102,6 +152,33 @@ class TestSplittingProcess:
 
         res = two_sample_containment_test(big, small, [k], n, seed=209)
         assert res.passed
+
+
+class TestSplittingEvents:
+    def test_one_run_per_event_and_no_rejection(self, monkeypatch):
+        calls = []
+
+        def counting(measure, window, t, rng, m, *args):
+            calls.append(m)
+            return stit_batch(measure, window, t, rng, m, *args)
+
+        monkeypatch.setattr(verify_mod, "stit_run", counting)
+        body = centered_square(0.5)
+        events = stit_zero_cell_events(XY, W2, 0.5, [body])(substream(232, 0), 400)
+        assert calls == [400]
+        # replaying the same runs gives every event, zero cells on the window boundary included
+        zero = stit_batch(XY, W2, 0.5, substream(232, 0), 400).zero_cells()
+        on_boundary = np.any(np.abs(np.abs(zero) - 1.0) <= 1e-9, axis=1)
+        assert on_boundary.sum() > 100
+        assert events[:, 0].tolist() == [contains(_rect_to_polygon(row), body) for row in zero]
+
+    def test_containment_law_at_a_small_window(self):
+        # P(zero cell contains K) = exp(-t Lambda([K])) for K inside the window; rejecting
+        # zero cells that touch the window boundary would bias this far beyond 3 sigma
+        n = 100_000
+        hits = stit_zero_cell_events(XY, W2, 1.0, [W1])(substream(233, 0), n)[:, 0].mean()
+        p = math.exp(-1.0)
+        assert abs(hits - p) <= 3.0 * math.sqrt(p * (1 - p) / n)
 
 
 class TestPoissonLineTessellation:
@@ -223,6 +300,17 @@ class TestNest:
             outer = stit_run(XY, W1, 1.0, rng)
             inner = [stit_run(XY, W1, 1.0, rng) for _ in range(outer.n_cells)]
             nest(outer, inner).validate()
+
+    @BOTH
+    def test_zero_cell_of_refinement_is_outer_meet_first_inner(self, measure):
+        # the shortcut behind the nested verify events: only inner_seq[0] reaches the zero cell
+        rng = substream(234, 0)
+        for _ in range(30):
+            outer = stit_run(measure, W2, 0.5, rng)
+            inner = [stit_run(measure, W2, 0.5, rng) for _ in range(outer.n_cells)]
+            want = zero_cell_of(nest(outer, inner))
+            got = intersection(zero_cell_of(outer), zero_cell_of(inner[0]))
+            assert want.close_to(got)
 
     def test_nesting_law_reduced(self):
         # time-additivity of the splitting process under refinement (reduced size;
