@@ -13,6 +13,7 @@ import io
 import json
 import math
 import sys
+from dataclasses import replace
 
 from .config import Config, load_config, resolve_body, resolve_measure
 from .errors import ConfigError, SimulationAbort
@@ -21,6 +22,7 @@ from .renewal import (
     RegenParams,
     conditional_pattern_prob,
     p_by_renewal_recursion,
+    p_vector,
     q_vector,
     stationary_delay,
 )
@@ -90,6 +92,8 @@ def cmd_sample(args) -> int:
         },
     )
     seed = cfg.require_seed()
+    if args.kind == "gamma-path" and cfg.path_length is None:
+        cfg = replace(cfg, path_length=6)
     measure = resolve_measure(cfg.measure)
     rng = master_stream(seed)
     meta = _meta(f"sample {args.kind}", cfg)
@@ -171,27 +175,22 @@ def cmd_verify(args) -> int:
     kwargs: dict = {"seed": seed}
     if target in ("q", "p", "renewal", "conditional", "ergodic", "nesting-law"):
         kwargs["body"] = body
+    # replications and path_length come from the file or a flag; None keeps the target's default
     if target in ("q", "p", "renewal", "conditional"):
         kwargs.update(measure=measure, a=cfg.a, workers=workers)
-        if args.reps is not None:
+        if cfg.replications is not None:
             kwargs["replications"] = cfg.replications
     if target == "q" and args.n is not None:
         kwargs["ns"] = _parse_range(args.n)
     if target == "p" and args.max_gap is not None:
         kwargs["max_gap"] = args.max_gap
-    if target in ("p", "renewal") and args.path_length is not None:
-        kwargs["path_length"] = cfg.path_length
     if target == "ergodic":
         kwargs.update(measure=measure, a=cfg.a)
-        if args.path_length is not None:
-            kwargs["path_length"] = cfg.path_length
-    if target in ("scaling", "stit-vs-pht"):
+    if target in ("p", "renewal", "ergodic") and cfg.path_length is not None:
+        kwargs["path_length"] = cfg.path_length
+    if target in ("scaling", "stit-vs-pht", "nesting-law"):
         kwargs["measure"] = measure
-        if args.reps is not None:
-            kwargs["n"] = cfg.replications
-    if target == "nesting-law":
-        kwargs["measure"] = measure
-        if args.reps is not None:
+        if cfg.replications is not None:
             kwargs["n"] = cfg.replications
 
     report = fn(**kwargs)
@@ -233,8 +232,7 @@ def cmd_analytic(args) -> int:
         _print_values([math.exp(params.lambda_k)], ["rho"], args.format, out)
         return 0
     if args.target == "delay":
-        p = p_by_renewal_recursion(q_vector(params, args.terms), args.terms)
-        law = stationary_delay(p)
+        law = stationary_delay(p_vector(params))
         k = args.n
         if args.format == "plain":
             for i in range(1, k + 1):
@@ -331,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     an.add_argument("--lambda", dest="lam", type=float, required=True)
     an.add_argument("--a", type=float, default=2.0)
     an.add_argument("--n", type=int, default=5)
-    an.add_argument("--terms", type=int, default=400, help="truncation for rho/delay")
     an.add_argument("--sizes", default="1,0", help="J,Z sizes for conditional")
     an.add_argument("--format", choices=["plain", "csv", "json"], default="plain")
     an.set_defaults(fn=cmd_analytic)

@@ -22,8 +22,9 @@ class Config:
     body: object = "square:1"
     window: object = "square:2"
     t: float = 1.0
-    replications: int = 100_000
-    path_length: int = 6
+    # None: the verify target's own default (sample gamma-path: 6 steps)
+    replications: int | None = None
+    path_length: int | None = None
     seed: int | None = None
     workers: int = 1
     out: str | None = None
@@ -48,9 +49,9 @@ class Config:
             raise ConfigError(f"a must exceed 1, got {self.a}")
         if not (math.isfinite(self.t) and self.t > 0.0):
             raise ConfigError(f"t must be finite and positive, got {self.t}")
-        if self.replications < 1:
+        if self.replications is not None and self.replications < 1:
             raise ConfigError("replications must be >= 1")
-        if self.path_length < 0:
+        if self.path_length is not None and self.path_length < 0:
             raise ConfigError("path_length must be >= 0")
         if self.workers < 0:
             raise ConfigError("workers must be >= 0")

@@ -26,6 +26,7 @@ from .renewal import (
     conditional_pattern_prob,
     marginal_thinning_ratio,
     p_by_renewal_recursion,
+    p_vector,
     q_vector,
     stationary_delay,
 )
@@ -368,8 +369,7 @@ class Experiment:
         n_ok = int(ok.sum())
         if n_ok < 100:
             raise InsufficientConditioningEvents(f"only {n_ok} straddling gaps")
-        pvec = p_by_renewal_recursion(q_vector(self.spec.params, 400), 400)
-        law = stationary_delay(pvec)
+        law = stationary_delay(p_vector(self.spec.params))
         spanning = []
         forward = []
         for k in range(1, max_k + 1):

@@ -24,6 +24,7 @@ __all__ = [
     "q_vector",
     "p_by_inclusion_exclusion",
     "p_by_renewal_recursion",
+    "p_vector",
     "mean_recurrence",
     "stationary_delay",
     "conditional_pattern_prob",
@@ -32,6 +33,7 @@ __all__ = [
 ]
 
 INCLUSION_EXCLUSION_MAX_N = 22
+MAX_TERMS = 51_200  # p_vector's largest truncation; the renewal recursion costs O(N^2)
 
 
 class TailTooHeavy(ValueError):
@@ -183,6 +185,24 @@ def _tail_certificates(p: PVector):
     t = max(tail, 0.0)
     bound = n_max * t + t * gamma / (1.0 - gamma)
     return tail, bound
+
+
+def p_vector(params: RegenParams) -> PVector:
+    """Interarrival vector long enough for the tail certificates.
+
+    The truncation N starts at 400 and doubles until the tail mass is below
+    1e-10; past MAX_TERMS the last TailTooHeavy stands.
+    """
+    n = 400
+    while True:
+        p = p_by_renewal_recursion(q_vector(params, n), n)
+        try:
+            _tail_certificates(p)
+            return p
+        except TailTooHeavy:
+            if 2 * n > MAX_TERMS:
+                raise
+        n *= 2
 
 
 def mean_recurrence(p: PVector) -> MeanRecurrence:

@@ -28,6 +28,7 @@ from .renewal import (
     mean_recurrence,
     p_by_inclusion_exclusion,
     p_by_renewal_recursion,
+    p_vector,
     q_vector,
 )
 from .tessellation import stit_batch as stit_run
@@ -211,23 +212,40 @@ def verify_renewal(
     seed: int = 13,
     workers: int = 1,
 ) -> VerifyReport:
-    """Mean recurrence time exp(Lambda([K])) and the two stationary delay laws."""
+    """Mean recurrence time exp(Lambda([K])) and the two stationary delay laws.
+
+    Raises ValueError before any simulation when the analytic bound on the gap
+    mass beyond the censor cannot fall below a tenth of the expected standard
+    error of the censored mean gap, so the check could only fail.
+    """
     lam = lambda_of(measure, body)
+    censor = 60
+    p = p_vector(RegenParams(lam, a))
+    mr = mean_recurrence(p)
+    n_idx = np.arange(1, len(p.values) + 1)
+    # unseen mass beyond the censor, bounded from the analytic vector
+    censor_bias = float((n_idx * p.values)[censor:].sum())
+    # renewals start a gap at rate exp(-lam) in each of the path_length + 1 - censor
+    # start columns, and the gap is seen when it is at most the censor
+    seen = p.values[:censor]
+    mean_seen = float(n_idx[:censor] @ seen) / seen.sum()
+    var_seen = float((n_idx[:censor] - mean_seen) ** 2 @ seen) / seen.sum()
+    n_gaps = replications * (path_length + 1 - censor) * math.exp(-lam) * seen.sum()
+    expected_se = math.sqrt(var_seen / n_gaps) if n_gaps > 0 else math.inf
+    if censor_bias >= 0.1 * expected_se:
+        raise ValueError(
+            f"renewal: censor bias bound {censor_bias:.3g} is not below 0.1 x the expected "
+            f"mean-gap stderr {expected_se:.3g}; the gap tail is too heavy at lambda = {lam:.3g}"
+        )
 
     def attempt(s):
         evidence = {}
-        params = RegenParams(lam, a)
-        p400 = p_by_renewal_recursion(q_vector(params, 400), 400)
-        mr = mean_recurrence(p400)
         evidence["exact_mean"] = mr.value
         evidence["exact_tail_mass"] = mr.tail_mass
         exact_ok = abs(mr.value - math.exp(lam)) < 1e-6
         spec = ExperimentSpec(measure, a, body, replications, path_length, s, workers)
         ex = Experiment(spec)
-        mg = ex.estimate_mean_gap(60)
-        # unseen mass beyond the censor, bounded from the analytic vector
-        n_idx = np.arange(1, 401)
-        censor_bias = float((n_idx * p400.values)[60:].sum())
+        mg = ex.estimate_mean_gap(censor)
         evidence["mean_gap"] = _report_dict(mg, spec)
         evidence["censor_bias_bound"] = censor_bias
         span, fwd, missing = ex.estimate_stationary_delay(5)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .geometry import (
     box_of,
     contains,
     contains_origin_interior,
+    rects_contain_boxes,
     scale,
 )
 from .measure import LineMeasure, _check_time, _sample_directions, axis_weights, kappa_total
@@ -48,85 +50,15 @@ DEFAULT_R_MAX_FACTOR = float(2**20)
 
 
 # ---------------------------------------------------------------------------
-# line population, shared by both cell representations
-
-
-def _annulus_lines(kappa, kt: float, time: float, r_lo: float, r_hi: float, rng):
-    """Fresh lines hitting B_r_hi but not B_r_lo: (phi, offset) arrays.
-
-    Per direction the admissible offsets have Lebesgue measure 2*(r_hi - r_lo),
-    independent of phi, so the direction marginal is exactly normalized kappa.
-    """
-    count = int(rng.poisson(time * 2.0 * (r_hi - r_lo) * kt))
-    phi = _sample_directions(kappa, rng, count)
-    mag = r_lo + rng.random(count) * (r_hi - r_lo)
-    neg = rng.random(count) < 0.5
-    # a zero-magnitude draw would put a line through the origin; measure-zero event
-    mag[mag == 0.0] = 0.5 * (r_lo + r_hi) if r_lo > 0.0 else 0.5 * r_hi
-    offset = np.where(neg, -mag, mag)
-    return phi, offset
-
-
-# ---------------------------------------------------------------------------
-# axis-aligned fast representation (measures supported on phi in {0, pi/2})
-
-
-class _RectZeroCellSampler:
-    """Zero cells for axis measures are rectangles; clipping is interval arithmetic."""
-
-    def __init__(self, measure: LineMeasure, time: float = 1.0, r_max_factor: float = DEFAULT_R_MAX_FACTOR):
-        wx_wy = axis_weights(measure.kappa)
-        if wx_wy is None:
-            raise ValueError("rect sampler needs an axis-aligned discrete measure")
-        self.kappa = measure.kappa
-        self.kt = kappa_total(measure.kappa)
-        self.time = time
-        self.r0 = 4.0 / (self.kt * time)
-        self.r_max = self.r0 * r_max_factor
-
-    def sample(self, rng):
-        """Rectangle (x0, x1, y0, y1) distributed as the zero cell at the given time."""
-        x0 = y0 = -math.inf
-        x1 = y1 = math.inf
-        r_lo, r = 0.0, self.r0
-        while True:
-            phi, offset = _annulus_lines(self.kappa, self.kt, self.time, r_lo, r, rng)
-            vertical = phi < 0.25 * math.pi  # atoms are exactly 0 or pi/2
-            vo = offset[vertical]
-            ho = offset[~vertical]
-            if vo.size:
-                pos = vo[vo > 0.0]
-                negs = vo[vo < 0.0]
-                if pos.size:
-                    x1 = min(x1, float(pos.min()))
-                if negs.size:
-                    x0 = max(x0, float(negs.max()))
-            if ho.size:
-                pos = ho[ho > 0.0]
-                negs = ho[ho < 0.0]
-                if pos.size:
-                    y1 = min(y1, float(pos.min()))
-                if negs.size:
-                    y0 = max(y0, float(negs.max()))
-            ex0, ex1 = max(x0, -r), min(x1, r)
-            ey0, ey1 = max(y0, -r), min(y1, r)
-            corner = max(ex0 * ex0, ex1 * ex1) + max(ey0 * ey0, ey1 * ey1)
-            if corner < (r - EPS_GEOM) ** 2:
-                return ex0, ex1, ey0, ey1
-            r_lo, r = r, 2.0 * r
-            if r > self.r_max:
-                raise SimulationAbort(
-                    f"zero cell still unbounded at radius {r:.3e}; "
-                    "the directional measure may not span the plane"
-                )
+# axis rectangles, held as four bound arrays x0, x1, y0, y1 (measures on phi in {0, pi/2})
 
 
 class _RectBatchZeroCells:
-    """Vectorized sampler of many independent zero cells (axis measures only).
+    """Sampler of m independent zero cells at once (axis measures only).
 
-    Same adaptive-doubling population as the scalar sampler, with the annulus
+    The adaptive-doubling population of the polygon sampler, with the annulus
     lines of all still-active cells drawn in one batch and scattered to their
-    owners; used by the Monte Carlo engines where zero cells dominate runtime.
+    owners; a rectangle's bounds are the nearest line offsets on each side.
     """
 
     def __init__(self, measure: LineMeasure, time: float = 1.0, r_max_factor: float = DEFAULT_R_MAX_FACTOR):
@@ -181,7 +113,23 @@ class _RectBatchZeroCells:
 
 
 # ---------------------------------------------------------------------------
-# generic polygon representation
+# convex polygons, held as ccw vertex tuple lists (every measure)
+
+
+def _annulus_lines(kappa, kt: float, time: float, r_lo: float, r_hi: float, rng):
+    """Fresh lines hitting B_r_hi but not B_r_lo: (phi, offset) arrays.
+
+    Per direction the admissible offsets have Lebesgue measure 2*(r_hi - r_lo),
+    independent of phi, so the direction marginal is exactly normalized kappa.
+    """
+    count = int(rng.poisson(time * 2.0 * (r_hi - r_lo) * kt))
+    phi = _sample_directions(kappa, rng, count)
+    mag = r_lo + rng.random(count) * (r_hi - r_lo)
+    neg = rng.random(count) < 0.5
+    # a zero-magnitude draw would put a line through the origin; measure-zero event
+    mag[mag == 0.0] = 0.5 * (r_lo + r_hi) if r_lo > 0.0 else 0.5 * r_hi
+    offset = np.where(neg, -mag, mag)
+    return phi, offset
 
 
 class _PolyZeroCellSampler:
@@ -218,12 +166,6 @@ class _PolyZeroCellSampler:
                 )
 
 
-def _make_sampler(measure: LineMeasure, time: float, r_max_factor: float = DEFAULT_R_MAX_FACTOR):
-    if axis_weights(measure.kappa) is not None:
-        return _RectZeroCellSampler(measure, time, r_max_factor)
-    return _PolyZeroCellSampler(measure, time, r_max_factor)
-
-
 def sample_zero_cell(
     measure: LineMeasure,
     rng,
@@ -236,11 +178,10 @@ def sample_zero_cell(
     any convex K with the origin in its interior.
     """
     _check_time(time)
-    sampler = _make_sampler(measure, time, r_max_factor)
-    out = sampler.sample(rng)
-    if isinstance(sampler, _RectZeroCellSampler):
-        return _rect_to_polygon(out)
-    return ConvexPolygon._trusted(out)
+    if axis_weights(measure.kappa) is not None:
+        rect = _RectBatchZeroCells(measure, time, r_max_factor).sample(rng, 1)
+        return _rect_to_polygon([float(v[0]) for v in rect])
+    return ConvexPolygon._trusted(_PolyZeroCellSampler(measure, time, r_max_factor).sample(rng))
 
 
 # ---------------------------------------------------------------------------
@@ -286,31 +227,9 @@ def sample_gamma_path(measure: LineMeasure, a: float, n_steps: int, rng) -> Zero
         raise ValueError(f"renormalization base must exceed 1, got {a}")
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
-    sampler = _make_sampler(measure, 1.0)
-    f = a / (a - 1.0)
-    cells = []
-    if isinstance(sampler, _RectZeroCellSampler):
-        x0, x1, y0, y1 = sampler.sample(rng)
-        cells.append(_rect_to_polygon((x0, x1, y0, y1)))
-        for _ in range(n_steps):
-            fx0, fx1, fy0, fy1 = sampler.sample(rng)
-            x0 = max(a * x0, f * fx0)
-            x1 = min(a * x1, f * fx1)
-            y0 = max(a * y0, f * fy0)
-            y1 = min(a * y1, f * fy1)
-            cells.append(_rect_to_polygon((x0, x1, y0, y1)))
-    else:
-        verts = sampler.sample(rng)
-        cells.append(ConvexPolygon._trusted(verts))
-        for _ in range(n_steps):
-            fresh = sampler.sample(rng)
-            verts = _intersect_tuples(
-                [(a * x, a * y) for x, y in verts],
-                [(f * x, f * y) for x, y in fresh],
-            )
-            if verts is None:
-                raise SimulationAbort("path cell collapsed below the area tolerance")
-            cells.append(ConvexPolygon._trusted(verts))
+    engine = make_path_engine(measure, a, ())
+    start = engine._start(rng)
+    cells = engine._polygons(start) + engine._polygons(engine._walk(start, rng, n_steps))
     return ZeroCellPath(a, tuple(cells))
 
 
@@ -331,70 +250,72 @@ def indicators_pair(path: ZeroCellPath, body: ConvexPolygon, a: float | None = N
 
 # ---------------------------------------------------------------------------
 # indicator-path engines (consumed by the Monte Carlo harness)
+#
+# Each engine holds path cells in its representation: a run of cells is `cells`,
+# and a streamed path carries its last cell as a run of one. `_walk` is the one
+# renormalized step of a streamed path, `_contain` the one containment test; the
+# polygon walk yields its cells one at a time, so each is tested and dropped.
 
 
 class _RectPathEngine:
-    """Vectorized indicator paths: all replications of a block step together."""
+    """Axis measures: a run of n cells is a (4, n) array of rows x0, x1, y0, y1."""
 
     def __init__(self, measure: LineMeasure, a: float, bodies, time: float = 1.0):
         self.batch = _RectBatchZeroCells(measure, time)
         self.a = a
         self.f = a / (a - 1.0)
-        # the test of geometry.rects_contain_boxes with its tolerance folded into the
-        # boxes once, since the streamed path (_bits_one) tests one scalar cell per step
-        self.boxes = [
-            (bx0 + EPS_GEOM, bx1 - EPS_GEOM, by0 + EPS_GEOM, by1 - EPS_GEOM)
-            for bx0, bx1, by0, by1 in (box_of(b.vertices) for b in bodies)
-        ]
+        self.boxes = [box_of(b.vertices) for b in bodies]
 
-    def _bits(self, x0, x1, y0, y1, out):
-        for k, (bx0, bx1, by0, by1) in enumerate(self.boxes):
-            out[:, k] = (x0 <= bx0) & (x1 >= bx1) & (y0 <= by0) & (y1 >= by1)
+    def _start(self, rng) -> np.ndarray:
+        return np.array(self.batch.sample(rng, 1))
+
+    def _walk(self, state, rng, n: int) -> np.ndarray:
+        """The n path cells after the last cell of `state`; fresh cells drawn in one batch."""
+        fresh = zip(*(v.tolist() for v in self.batch.sample(rng, n)))
+        x0, x1, y0, y1 = state[:, -1].tolist()
+        a, f = self.a, self.f
+        out = []
+        for fx0, fx1, fy0, fy1 in fresh:
+            x0 = max(a * x0, f * fx0)
+            x1 = min(a * x1, f * fx1)
+            y0 = max(a * y0, f * fy0)
+            y1 = min(a * y1, f * fy1)
+            out.append((x0, x1, y0, y1))
+        return np.array(out, dtype=float).reshape(n, 4).T
+
+    def _contain(self, cells) -> np.ndarray:
+        return rects_contain_boxes(*cells, self.boxes)
+
+    def _polygons(self, cells) -> list:
+        return [_rect_to_polygon(c) for c in cells.T.tolist()]
 
     def run_block(self, rng, m: int, n_steps: int) -> np.ndarray:
-        """uint8 array (m, n_steps + 1, n_bodies) of containment indicators."""
+        """uint8 array (m, n_steps + 1, n_bodies) of containment bits; the m paths step together."""
         bits = np.empty((m, n_steps + 1, len(self.boxes)), dtype=np.uint8)
         x0, x1, y0, y1 = self.batch.sample(rng, m)
-        self._bits(x0, x1, y0, y1, bits[:, 0, :])
+        bits[:, 0, :] = rects_contain_boxes(x0, x1, y0, y1, self.boxes)
         for n in range(1, n_steps + 1):
             fx0, fx1, fy0, fy1 = self.batch.sample(rng, m)
             x0 = np.maximum(self.a * x0, self.f * fx0)
             x1 = np.minimum(self.a * x1, self.f * fx1)
             y0 = np.maximum(self.a * y0, self.f * fy0)
             y1 = np.minimum(self.a * y1, self.f * fy1)
-            self._bits(x0, x1, y0, y1, bits[:, n, :])
+            bits[:, n, :] = rects_contain_boxes(x0, x1, y0, y1, self.boxes)
         return bits
 
     def path_start(self, rng):
         """Initial stationary cell for a streamed single path: (state, bits row)."""
-        x0, x1, y0, y1 = self.batch.sample(rng, 1)
-        state = (float(x0[0]), float(x1[0]), float(y0[0]), float(y1[0]))
-        return state, self._bits_one(state)
+        state = self._start(rng)
+        return state, self._contain(state)[0]
 
     def path_steps(self, state, rng, n_steps: int):
-        """Advance a streamed path: fresh cells batch-sampled, folded sequentially."""
-        fx0, fx1, fy0, fy1 = self.batch.sample(rng, n_steps)
-        x0, x1, y0, y1 = state
-        a, f = self.a, self.f
-        bits = np.empty((n_steps, len(self.boxes)), dtype=np.uint8)
-        for i in range(n_steps):
-            x0 = max(a * x0, f * fx0[i])
-            x1 = min(a * x1, f * fx1[i])
-            y0 = max(a * y0, f * fy0[i])
-            y1 = min(a * y1, f * fy1[i])
-            bits[i] = self._bits_one((x0, x1, y0, y1))
-        return bits, (x0, x1, y0, y1)
-
-    def _bits_one(self, state):
-        x0, x1, y0, y1 = state
-        return [
-            1 if (x0 <= bx0 and x1 >= bx1 and y0 <= by0 and y1 >= by1) else 0
-            for bx0, bx1, by0, by1 in self.boxes
-        ]
+        """Advance a streamed path by n_steps: (bits (n_steps, n_bodies), state)."""
+        cells = self._walk(state, rng, n_steps)
+        return self._contain(cells), (cells[:, -1:] if n_steps else state)
 
 
 class _PolyPathEngine:
-    """Scalar fallback for general directional measures."""
+    """General measures: a run of cells is a list of ccw vertex tuple lists."""
 
     def __init__(self, measure: LineMeasure, a: float, bodies, time: float = 1.0):
         self.sampler = _PolyZeroCellSampler(measure, time)
@@ -402,44 +323,57 @@ class _PolyPathEngine:
         self.f = a / (a - 1.0)
         self.bodies = [b.as_tuples() for b in bodies]
 
+    def _start(self, rng) -> list:
+        return [self.sampler.sample(rng)]
+
+    def _walk(self, state, rng, n: int):
+        """Yield the n path cells after the last cell of `state`, one at a time."""
+        verts = state[-1]
+        a, f = self.a, self.f
+        for _ in range(n):
+            fresh = self.sampler.sample(rng)
+            verts = _intersect_tuples(
+                [(a * x, a * y) for x, y in verts],
+                [(f * x, f * y) for x, y in fresh],
+            )
+            if verts is None:
+                raise SimulationAbort("path cell collapsed below the area tolerance")
+            yield verts
+
+    def _contain(self, cells, out):
+        """Test each cell as it comes into the next row of `out`; returns the last cell."""
+        verts = None
+        for row, verts in zip(out, cells):
+            row[:] = [_contains_tuples(verts, bv) for bv in self.bodies]
+        return verts
+
+    def _polygons(self, cells) -> list:
+        return [ConvexPolygon._trusted(verts) for verts in cells]
+
     def run_block(self, rng, m: int, n_steps: int) -> np.ndarray:
+        """uint8 array (m, n_steps + 1, n_bodies) of containment bits, one path at a time."""
         bits = np.empty((m, n_steps + 1, len(self.bodies)), dtype=np.uint8)
         for r in range(m):
-            verts = self.sampler.sample(rng)
-            for k, bv in enumerate(self.bodies):
-                bits[r, 0, k] = _contains_tuples(verts, bv)
-            for n in range(1, n_steps + 1):
-                verts = self._step(verts, rng)
-                for k, bv in enumerate(self.bodies):
-                    bits[r, n, k] = _contains_tuples(verts, bv)
+            start = self._start(rng)
+            self._contain(chain(start, self._walk(start, rng, n_steps)), bits[r])
         return bits
 
-    def _step(self, verts, rng):
-        fresh = self.sampler.sample(rng)
-        out = _intersect_tuples(
-            [(self.a * x, self.a * y) for x, y in verts],
-            [(self.f * x, self.f * y) for x, y in fresh],
-        )
-        if out is None:
-            raise SimulationAbort("path cell collapsed below the area tolerance")
-        return out
-
     def path_start(self, rng):
-        verts = self.sampler.sample(rng)
-        return verts, [_contains_tuples(verts, bv) for bv in self.bodies]
+        """Initial stationary cell for a streamed single path: (state, bits row)."""
+        state = self._start(rng)
+        bits = np.empty((1, len(self.bodies)), dtype=np.uint8)
+        self._contain(state, bits)
+        return state, bits[0]
 
     def path_steps(self, state, rng, n_steps: int):
+        """Advance a streamed path by n_steps: (bits (n_steps, n_bodies), state)."""
         bits = np.empty((n_steps, len(self.bodies)), dtype=np.uint8)
-        verts = state
-        for i in range(n_steps):
-            verts = self._step(verts, rng)
-            for k, bv in enumerate(self.bodies):
-                bits[i, k] = _contains_tuples(verts, bv)
-        return bits, verts
+        last = self._contain(self._walk(state, rng, n_steps), bits)
+        return bits, ([last] if n_steps else state)
 
 
 def make_path_engine(measure: LineMeasure, a: float, bodies, time: float = 1.0):
-    """Pick the fastest exact engine for the measure."""
+    """Pick the engine of the measure's cell representation."""
     if axis_weights(measure.kappa) is not None:
         return _RectPathEngine(measure, a, bodies, time)
     return _PolyPathEngine(measure, a, bodies, time)

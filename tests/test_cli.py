@@ -155,6 +155,12 @@ class TestAnalyticCommand:
                      "--sizes", "2,1"]) == 0
         assert capsys.readouterr().out.strip() == "0.144749281023"
 
+    def test_delay_grows_the_truncation(self, capsys):
+        # tail mass 1.1e-7 at the default 400 terms; the truncation doubles instead of failing
+        assert main(["analytic", "delay", "--lambda", "3", "--n", "0"]) == 0
+        out = capsys.readouterr().out.strip().splitlines()
+        assert out == [f"forward[0] {math.exp(-3.0):.12f}"]
+
     def test_csv_format(self, capsys):
         assert main(["analytic", "q", "--lambda", "1", "--a", "2", "--n", "2",
                      "--format", "csv"]) == 0
@@ -231,6 +237,49 @@ class TestVerifyCommand:
         monkeypatch.setitem(cli_mod.VERIFY_TARGETS, "q", lambda **kw: failed)
         rc = main(["verify", "q", "--seed", "1", "--out", str(tmp_path / "r.json")])
         assert rc == 1
+
+    def test_config_values_reach_the_target(self, monkeypatch, tmp_path):
+        import crofton.cli as cli_mod
+        from crofton.verify import VerifyReport
+
+        calls = []
+
+        def stub(**kw):
+            calls.append(kw)
+            return VerifyReport("stub", True, [{"seed": kw["seed"], "passed": True, "evidence": []}])
+
+        for target in ("p", "nesting-law"):
+            monkeypatch.setitem(cli_mod.VERIFY_TARGETS, target, stub)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"replications": 2000, "path_length": 80, "t": 3.0}))
+        out = tmp_path / "r.json"
+        assert main(["verify", "p", "--seed", "1", "--config", str(cfg), "--out", str(out)]) == 0
+        assert calls[-1]["replications"] == 2000 and calls[-1]["path_length"] == 80
+        meta = json.loads(out.read_text())["meta"]["config"]
+        assert meta["replications"] == 2000 and meta["path_length"] == 80
+        assert main(["verify", "p", "--seed", "1", "--config", str(cfg), "--reps", "300",
+                     "--out", str(out)]) == 0
+        assert calls[-1]["replications"] == 300 and calls[-1]["path_length"] == 80
+        # without a file or flag the target keeps its own defaults, and the report says null
+        assert main(["verify", "p", "--seed", "1", "--out", str(out)]) == 0
+        assert "replications" not in calls[-1] and "path_length" not in calls[-1]
+        meta = json.loads(out.read_text())["meta"]["config"]
+        assert meta["replications"] is None and meta["path_length"] is None
+        # the config's t does not feed the nesting law's times
+        assert main(["verify", "nesting-law", "--seed", "1", "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        assert calls[-1]["n"] == 2000 and "t" not in calls[-1] and "s_time" not in calls[-1]
+
+    def test_renewal_with_a_heavy_tail_is_refused(self, tmp_path, capsys):
+        # lambda = 3: the gap mass beyond the censor (6.18) dwarfs any reachable stderr,
+        # so the run is refused before it simulates instead of reporting a certain FAIL
+        out = tmp_path / "r.json"
+        rc = main(["verify", "renewal", "--body", "square:3", "--seed", "2", "--out", str(out)])
+        assert rc == 2
+        assert "censor bias bound 6.18" in capsys.readouterr().err
+        assert not out.exists()
+        # lambda = 2: 0.139 beyond the censor against 0.1 x 0.039 expected, also a certain FAIL
+        assert main(["verify", "renewal", "--body", "square:2", "--seed", "2", "--out", str(out)]) == 2
 
     def test_nesting_law_target_wiring(self, tmp_path):
         out = tmp_path / "n.json"

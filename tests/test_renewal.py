@@ -12,6 +12,7 @@ from crofton.renewal import (
     mean_recurrence,
     p_by_inclusion_exclusion,
     p_by_renewal_recursion,
+    p_vector,
     q_vector,
     stationary_delay,
 )
@@ -105,6 +106,14 @@ class TestMeanRecurrence:
             mean_recurrence(p)
         with pytest.raises(TailTooHeavy):
             stationary_delay(p)
+
+    def test_truncation_grows_until_the_tail_is_light(self):
+        assert len(p_vector(P12).values) == 400  # lambda = 1 passes at the first truncation
+        p = p_vector(RegenParams(3.0, 2.0))  # tail mass 1.1e-7 at N = 400
+        assert len(p.values) == 800
+        assert mean_recurrence(p).value == pytest.approx(math.exp(3.0), rel=1e-9)
+        with pytest.raises(TailTooHeavy):
+            p_vector(RegenParams(9.0, 2.0))  # needs more than the largest truncation
 
 
 class TestStationaryDelay:

@@ -13,10 +13,10 @@ from crofton.rng import substream
 from crofton.zero_cell import (
     _PolyZeroCellSampler,
     _RectBatchZeroCells,
-    _RectZeroCellSampler,
     IndicatorSequence,
     indicators,
     indicators_pair,
+    make_path_engine,
     sample_gamma_path,
     sample_zero_cell,
     write_path_csv,
@@ -24,6 +24,7 @@ from crofton.zero_cell import (
 )
 
 XY = discrete_xy()
+XY_UNEQUAL = LineMeasure(Discrete(((0.0, 0.3), (0.5 * math.pi, 1.1))))
 K_UNIT = centered_square(1.0)  # Lambda([K]) = 1 under XY
 
 
@@ -80,13 +81,14 @@ class TestZeroCellSampler:
         assert abs(edges.mean() - 2.0) <= 3.0 * se
 
     def test_rect_and_polygon_paths_agree_on_same_stream(self):
-        for i in range(50):
-            rect = _RectZeroCellSampler(XY).sample(substream(45, i))
-            poly = _PolyZeroCellSampler(XY).sample(substream(45, i))
-            xs = sorted({round(x, 9) for x, _ in poly})
-            ys = sorted({round(y, 9) for _, y in poly})
-            assert xs == [round(rect[0], 9), round(rect[1], 9)]
-            assert ys == [round(rect[2], 9), round(rect[3], 9)]
+        for measure, t in ((XY, 1.0), (XY_UNEQUAL, 0.37)):
+            for i in range(50):
+                rect = [float(v[0]) for v in _RectBatchZeroCells(measure, t).sample(substream(45, i), 1)]
+                poly = _PolyZeroCellSampler(measure, t).sample(substream(45, i))
+                xs = sorted({round(x, 9) for x, _ in poly})
+                ys = sorted({round(y, 9) for _, y in poly})
+                assert xs == [round(rect[0], 9), round(rect[1], 9)]
+                assert ys == [round(rect[2], 9), round(rect[3], 9)]
 
     def test_doubling_rounds_shrink_and_terminate(self):
         stats = {}
@@ -146,6 +148,8 @@ class TestGammaPath:
         path = sample_gamma_path(XY, 3.0, 12, substream(54, 0))
         for cell in path.cells:
             assert contains_origin_interior(cell)
+        for measure in (XY, isotropic()):
+            assert len(sample_gamma_path(measure, 3.0, 0, substream(54, 1))) == 1
 
     def test_rejects_bad_base(self):
         with pytest.raises(ValueError):
@@ -191,12 +195,19 @@ class TestIndicators:
         assert int(viol.sum()) == 0
 
     def test_indicator_pair_matches_experiment_bits(self):
-        # the public per-path API and the block engine must produce identical bits
-        path = sample_gamma_path(XY, 2.0, 6, substream(61, 5))
-        iK, iaK = indicators_pair(path, K_UNIT)
-        assert isinstance(iK, IndicatorSequence)
-        assert len(iK.bits) == 7 and len(iaK.bits) == 7
-        assert np.all(iaK.bits <= iK.bits)
+        # on one stream, the public per-path API and the streamed engine produce identical bits
+        for measure, body in ((XY, K_UNIT), (isotropic(), centered_square(math.pi / 4.0))):
+            path = sample_gamma_path(measure, 2.0, 6, substream(61, 5))
+            iK, iaK = indicators_pair(path, body)
+            assert isinstance(iK, IndicatorSequence)
+            engine = make_path_engine(measure, 2.0, (body, scale(body, 2.0)))
+            rng = substream(61, 5)
+            state, first = engine.path_start(rng)
+            rest, _ = engine.path_steps(state, rng, 6)
+            bits = np.vstack([first, rest]).astype(np.uint8)
+            assert np.array_equal(iK.bits, bits[:, 0])
+            assert np.array_equal(iaK.bits, bits[:, 1])
+            assert np.all(iaK.bits <= iK.bits)
 
     def test_conditional_scaled_containment(self):
         # P(cell contains aK | cell contains K) = exp(-(a-1) Lambda([K]))
