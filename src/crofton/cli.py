@@ -56,20 +56,26 @@ def _meta(command: str, cfg: Config) -> dict:
     }
 
 
+def _write_file(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as f:
+            f.write(text)
+    except OSError as e:
+        raise ConfigError(f"cannot write {path}: {e}") from e
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        with open(out_path, "w") as f:
-            f.write(text)
+        _write_file(out_path, text)
 
 
 def _write_svg(obj, svg_path: str | None) -> None:
     if svg_path:
-        with open(svg_path, "w") as f:
-            f.write(render_svg(obj))
+        _write_file(svg_path, render_svg(obj))
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +239,9 @@ def cmd_analytic(args) -> int:
         return 0
     if args.target == "delay":
         law = stationary_delay(p_vector(params))
-        k = args.n
+        k, n_terms = args.n, len(law.forward)
+        if k >= n_terms:
+            raise ConfigError(f"--n {k} is past the delay law's truncation at N = {n_terms} terms")
         if args.format == "plain":
             for i in range(1, k + 1):
                 out.write(f"spanning[{i}] {law.spanning[i - 1]:.12f}\n")
@@ -267,19 +275,25 @@ def cmd_render(args) -> int:
         raise ConfigError(f"cannot read {args.input}: {e}") from e
     except json.JSONDecodeError as e:
         raise ConfigError(f"{args.input}:{e.lineno}:{e.colno}: {e.msg}") from e
+    if not isinstance(data, dict):
+        raise ConfigError(f"{args.input}: expected a geometry object, got {type(data).__name__}")
     kind = data.get("kind")
-    if kind == "tessellation":
-        obj = Tessellation.from_json(data)
-    elif kind == "polygon":
-        obj = ConvexPolygon.from_json(data["vertices"])
-    elif kind == "zero-cell-path":
-        obj = ZeroCellPath(
-            float(data["a"]), tuple(ConvexPolygon.from_json(c) for c in data["cells"])
-        )
-    else:
+    if kind not in ("tessellation", "polygon", "zero-cell-path"):
         raise ConfigError(f"unknown geometry kind {kind!r}")
-    with open(args.out, "w") as f:
-        f.write(render_svg(obj))
+    try:
+        if kind == "tessellation":
+            obj = Tessellation.from_json(data)
+        elif kind == "polygon":
+            obj = ConvexPolygon.from_json(data["vertices"])
+        else:
+            obj = ZeroCellPath(
+                float(data["a"]), tuple(ConvexPolygon.from_json(c) for c in data["cells"])
+            )
+        svg = render_svg(obj)
+    # a missing key, a wrong type, a degenerate polygon, cells that do not tile the window
+    except (KeyError, TypeError, ValueError, AssertionError) as e:
+        raise ConfigError(f"{args.input}: malformed {kind} ({type(e).__name__}: {e})") from e
+    _write_file(args.out, svg)
     return 0
 
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass, fields
 
 from .errors import ConfigError
 from .geometry import ConvexPolygon, centered_square, regular_polygon
-from .measure import LineMeasure, discrete_xy, isotropic, kappa_from_config, kappa_to_config
+from .measure import LineMeasure, discrete_xy, isotropic, kappa_from_config
 
 WORKERS_ENV = "CROFTON_WORKERS"
 
@@ -151,7 +151,3 @@ def resolve_measure(spec) -> LineMeasure:
     except ValueError as e:
         raise ConfigError(f"bad measure spec {spec!r}: {e}") from e
     raise ConfigError(f"unknown measure spec {spec!r}")
-
-
-def measure_spec_dict(measure: LineMeasure) -> dict:
-    return kappa_to_config(measure.kappa)

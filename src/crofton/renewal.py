@@ -191,7 +191,7 @@ def p_vector(params: RegenParams) -> PVector:
     """Interarrival vector long enough for the tail certificates.
 
     The truncation N starts at 400 and doubles until the tail mass is below
-    1e-10; past MAX_TERMS the last TailTooHeavy stands.
+    1e-10; past MAX_TERMS it raises TailTooHeavy naming lambda and the cap.
     """
     n = 400
     while True:
@@ -199,9 +199,13 @@ def p_vector(params: RegenParams) -> PVector:
         try:
             _tail_certificates(p)
             return p
-        except TailTooHeavy:
+        except TailTooHeavy as e:
             if 2 * n > MAX_TERMS:
-                raise
+                raise TailTooHeavy(
+                    f"lambda = {params.lambda_k:g} is too large for the renewal closed forms: "
+                    f"the gap law keeps tail mass {1.0 - float(p.values.sum()):.3e} beyond "
+                    f"the largest truncation N = {n}"
+                ) from e
         n *= 2
 
 

@@ -106,6 +106,12 @@ class TestSampleCommands:
         n_cells = len(doc["cells"])
         assert svg.read_text().count("<polygon") == n_cells
 
+    def test_unwritable_out_is_a_config_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.json"
+        assert main(["sample", "zerocell", "--seed", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"cannot write {out}" in err
+
     def test_seed_required(self, capsys):
         assert main(["sample", "stit", "--window", "square:1"]) == 2
         assert "seed" in capsys.readouterr().err
@@ -151,6 +157,9 @@ class TestAnalyticCommand:
         out = capsys.readouterr().out.strip().splitlines()
         assert out[0].startswith("spanning[1] 0.223130160148")
         assert out[1].startswith("forward[0] 0.367879441171")
+        # the default truncation holds 400 terms, so --n 399 is the last index it can print
+        assert main(["analytic", "delay", "--lambda", "1", "--n", "399"]) == 0
+        assert capsys.readouterr().out.strip().splitlines()[-1].startswith("forward[399] ")
         assert main(["analytic", "conditional", "--lambda", "1", "--a", "2",
                      "--sizes", "2,1"]) == 0
         assert capsys.readouterr().out.strip() == "0.144749281023"
@@ -160,6 +169,19 @@ class TestAnalyticCommand:
         assert main(["analytic", "delay", "--lambda", "3", "--n", "0"]) == 0
         out = capsys.readouterr().out.strip().splitlines()
         assert out == [f"forward[0] {math.exp(-3.0):.12f}"]
+
+    @pytest.mark.parametrize(
+        "argv, fragment",
+        [
+            (["--lambda", "1", "--n", "400"], "truncation at N = 400"),
+            # the truncation has doubled up to its cap and the tail is still too heavy
+            (["--lambda", "8"], "largest truncation N = 51200"),
+        ],
+    )
+    def test_delay_refusals_are_config_errors(self, argv, fragment, capsys):
+        assert main(["analytic", "delay", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and fragment in err
 
     def test_csv_format(self, capsys):
         assert main(["analytic", "q", "--lambda", "1", "--a", "2", "--n", "2",
@@ -204,10 +226,23 @@ class TestRenderCommand:
         assert main(["render", "--input", str(geom), "--out", str(out)]) == 0
         assert out.read_text() == svg
 
-    def test_unknown_kind_rejected(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"kind": "blob"},
+            [1, 2],
+            {"kind": "zero-cell-path"},
+            # one unit cell in a 2x2 window: the cells do not cover it
+            {"kind": "tessellation", "window": box(0, 0, 2, 2).to_json(),
+             "cells": [box(0, 0, 1, 1).to_json()]},
+        ],
+        ids=["unknown-kind", "top-level-list", "missing-key", "uncovered-window"],
+    )
+    def test_unknown_kind_rejected(self, doc, tmp_path, capsys):
         geom = tmp_path / "g.json"
-        geom.write_text(json.dumps({"kind": "blob"}))
+        geom.write_text(json.dumps(doc))
         assert main(["render", "--input", str(geom), "--out", str(tmp_path / "o.svg")]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
 
 
 class TestVerifyCommand:
@@ -296,3 +331,14 @@ class TestVerifyCommand:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == f"{math.exp(0.5):.12f}"
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy is the tests' independent reference
+    code = (
+        "import sys, crofton, crofton.cli\n"
+        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

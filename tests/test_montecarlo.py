@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 from crofton.errors import InsufficientConditioningEvents
 from crofton.geometry import centered_square
@@ -12,6 +13,7 @@ from crofton.montecarlo import (
     Experiment,
     ExperimentSpec,
     RenewalSetSample,
+    Z99,
     coverage_calibration,
     ergodic_average,
     renewal_sets,
@@ -173,13 +175,18 @@ class TestTwoSample:
         assert not res.passed
 
     def test_report_fields(self):
-        bodies = [K]
-        gen = pht_zero_cell_events(XY, bodies)
-        res = two_sample_containment_test(gen, gen, bodies, 2000, seed=17)
+        bodies = [K, centered_square(0.5), centered_square(1.5)]
+        gen_a = pht_zero_cell_events(XY, bodies, time=1.0)
+        gen_b = pht_zero_cell_events(XY, bodies, time=1.3)
+        res = two_sample_containment_test(gen_a, gen_b, bodies, 2000, seed=17)
         d = res.to_dict()
         assert set(d) == {
             "bodies", "freq_a", "freq_b", "zscores", "pvalues", "n_a", "n_b", "level", "passed",
         }
+        # the standard-library normal tail and quantile agree with scipy's
+        assert Z99 == norm.ppf(0.995)
+        for z, p in zip(d["zscores"], d["pvalues"]):
+            assert p == pytest.approx(2.0 * norm.sf(abs(z)), rel=1e-13)
 
 
 class TestCalibration:
