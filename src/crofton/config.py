@@ -82,7 +82,7 @@ class Config:
 
 
 def load_config(path: str | None, overrides: dict) -> Config:
-    """Config file (optional) merged with non-None flag overrides."""
+    """Config file (optional) merged with non-None flag overrides; refuses unwritable outputs."""
     if path is None:
         base = Config()
     else:
@@ -96,7 +96,11 @@ def load_config(path: str | None, overrides: dict) -> Config:
         if not isinstance(data, dict):
             raise ConfigError(f"{path}: top level must be an object")
         base = Config.from_dict(data, source=path)
-    return base.merged(overrides)
+    cfg = base.merged(overrides)
+    for out in filter(None, (cfg.out, cfg.svg)):
+        if not os.access(os.path.dirname(os.path.abspath(out)), os.W_OK | os.X_OK):
+            raise ConfigError(f"cannot write {out}: its directory is missing or not writable")
+    return cfg
 
 
 # ---------------------------------------------------------------------------

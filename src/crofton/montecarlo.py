@@ -294,19 +294,21 @@ class Experiment:
     # -- interarrival law -----------------------------------------------------
 
     def _next_one_distances(self, max_gap: int):
-        """First-hit distances from every renewal start with a full max_gap window."""
+        """Starts with a full max_gap window, and a generator of (g, starts whose next one is g on)."""
         bits = self.paths[:, :, 0].astype(bool)
         cols = self.spec.path_length + 1 - max_gap
         if cols < 1:
             raise ValueError("max_gap exceeds path length")
         starts = bits[:, :cols]
-        found = np.zeros_like(starts)
-        hits = []
-        for g in range(1, max_gap + 1):
-            hit_g = starts & ~found & bits[:, g : g + cols]
-            hits.append(hit_g)
-            found |= hit_g
-        return starts, hits
+
+        def hits():  # one gap's mask at a time
+            found = np.zeros_like(starts)
+            for g in range(1, max_gap + 1):
+                hit_g = starts & ~found & bits[:, g : g + cols]
+                yield g, hit_g
+                found |= hit_g
+
+        return starts, hits()
 
     def estimate_interarrival(self, max_gap: int) -> list:
         """Per-gap conditional frequencies against the renewal-recursion values."""
@@ -317,7 +319,7 @@ class Experiment:
             raise InsufficientConditioningEvents(f"only {int(den)} renewal starts")
         pvec = p_by_renewal_recursion(q_vector(self.spec.params, max_gap), max_gap)
         out = []
-        for g, hit_g in enumerate(hits, start=1):
+        for g, hit_g in hits:
             x = hit_g.sum(axis=1).astype(float)
             est = float(x.sum()) / den
             resid = x - est * y
@@ -335,7 +337,7 @@ class Experiment:
         starts, hits = self._next_one_distances(censor)
         sums = np.zeros(starts.shape[0])
         counts = np.zeros(starts.shape[0])
-        for g, hit_g in enumerate(hits, start=1):
+        for g, hit_g in hits:
             per_path = hit_g.sum(axis=1).astype(float)
             sums += g * per_path
             counts += per_path

@@ -74,10 +74,8 @@ class _RectBatchZeroCells:
 
     def sample(self, rng, m: int, stats: dict | None = None):
         """Four (m,) arrays x0, x1, y0, y1 of independent zero-cell rectangles."""
-        x0 = np.full(m, -math.inf)
-        y0 = np.full(m, -math.inf)
-        x1 = np.full(m, math.inf)
-        y1 = np.full(m, math.inf)
+        # each cell's nearest line distance per side, columns x1, -x0, y1, -y0
+        near = np.full((m, 4), math.inf)
         active = np.arange(m)
         r_lo, r = 0.0, self.r0
         while active.size:
@@ -87,19 +85,11 @@ class _RectBatchZeroCells:
             mag = r_lo + rng.random(tot) * (r - r_lo)
             neg = rng.random(tot) < 0.5
             mag[mag == 0.0] = 0.5 * (r_lo + r) if r_lo > 0.0 else 0.5 * r
-            off = np.where(neg, -mag, mag)
-            owner = np.repeat(active, counts)
-            vertical = u_dir < self.p_vertical
-            pos = off > 0.0
-            np.minimum.at(x1, owner[vertical & pos], off[vertical & pos])
-            np.maximum.at(x0, owner[vertical & ~pos], off[vertical & ~pos])
-            np.minimum.at(y1, owner[~vertical & pos], off[~vertical & pos])
-            np.maximum.at(y0, owner[~vertical & ~pos], off[~vertical & ~pos])
-            ex0 = np.maximum(x0[active], -r)
-            ex1 = np.minimum(x1[active], r)
-            ey0 = np.maximum(y0[active], -r)
-            ey1 = np.minimum(y1[active], r)
-            corner = np.maximum(ex0 * ex0, ex1 * ex1) + np.maximum(ey0 * ey0, ey1 * ey1)
+            slot = 4 * np.repeat(active, counts) + 2 * (u_dir >= self.p_vertical) + neg
+            np.minimum.at(near.reshape(-1), slot, mag)
+            ext = np.minimum(near[active], r)
+            ext *= ext
+            corner = np.maximum(ext[:, 0], ext[:, 1]) + np.maximum(ext[:, 2], ext[:, 3])
             # done cells lie strictly inside the ball, so their line-only bounds are final
             active = active[corner >= (r - EPS_GEOM) ** 2]
             if stats is not None:
@@ -109,7 +99,7 @@ class _RectBatchZeroCells:
                 raise SimulationAbort(
                     f"{active.size} zero cells still unbounded at radius {r:.3e}"
                 )
-        return x0, x1, y0, y1
+        return -near[:, 1], near[:, 0], -near[:, 3], near[:, 2]
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 Each oracle recomputes a quantity by a route structurally different from the
 library implementation it checks: brute-force vertex enumeration for clipping,
 numeric quadrature for the isotropic hitting mass, ray casting for
-containment, the literal per-cell clock race for the splitting process, and
-crossing counting for arrangement cell counts.
+containment, the literal per-cell clock race for the splitting process,
+crossing counting for arrangement cell counts, and a four-array copy of the
+axis zero-cell sampler that pins the batch sampler's output bit for bit.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.spatial import ConvexHull
 
-from crofton.geometry import ConvexPolygon, Direction, width
+from crofton.geometry import EPS_GEOM, ConvexPolygon, Direction, width
 from crofton.measure import lambda_of, sample_hitting
 from crofton.tessellation import DEFAULT_MAX_JUMPS
 from crofton.geometry import split as geom_split
@@ -187,3 +188,41 @@ def arrangement_cell_count(window: ConvexPolygon, lines) -> int:
         count += 1 + crossings
         seen.append((phi, r))
     return count
+
+
+def four_scatter_rect_zero_cells(batch, rng, m: int, stats: dict):
+    """The axis sampler written with one bound array and one masked scatter per side.
+
+    Same draws, in the same order, as `_RectBatchZeroCells.sample`; each side's
+    bound is a min or max over its own lines, so the outputs must agree bit for bit.
+    """
+    x0 = np.full(m, -math.inf)
+    y0 = np.full(m, -math.inf)
+    x1 = np.full(m, math.inf)
+    y1 = np.full(m, math.inf)
+    active = np.arange(m)
+    r_lo, r = 0.0, batch.r0
+    while active.size:
+        counts = rng.poisson(batch.time * 2.0 * (r - r_lo) * batch.kt, active.size)
+        tot = int(counts.sum())
+        u_dir = rng.random(tot)
+        mag = r_lo + rng.random(tot) * (r - r_lo)
+        neg = rng.random(tot) < 0.5
+        mag[mag == 0.0] = 0.5 * (r_lo + r) if r_lo > 0.0 else 0.5 * r
+        off = np.where(neg, -mag, mag)
+        owner = np.repeat(active, counts)
+        vertical = u_dir < batch.p_vertical
+        pos = off > 0.0
+        np.minimum.at(x1, owner[vertical & pos], off[vertical & pos])
+        np.maximum.at(x0, owner[vertical & ~pos], off[vertical & ~pos])
+        np.minimum.at(y1, owner[~vertical & pos], off[~vertical & pos])
+        np.maximum.at(y0, owner[~vertical & ~pos], off[~vertical & ~pos])
+        ex0 = np.maximum(x0[active], -r)
+        ex1 = np.minimum(x1[active], r)
+        ey0 = np.maximum(y0[active], -r)
+        ey1 = np.minimum(y1[active], r)
+        corner = np.maximum(ex0 * ex0, ex1 * ex1) + np.maximum(ey0 * ey0, ey1 * ey1)
+        active = active[corner >= (r - EPS_GEOM) ** 2]
+        stats.setdefault("active_per_round", []).append(int(active.size))
+        r_lo, r = r, 2.0 * r
+    return x0, x1, y0, y1

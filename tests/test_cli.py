@@ -273,6 +273,25 @@ class TestVerifyCommand:
         rc = main(["verify", "q", "--seed", "1", "--out", str(tmp_path / "r.json")])
         assert rc == 1
 
+    def test_unwritable_output_is_refused_before_simulating(self, monkeypatch, tmp_path, capsys):
+        import crofton.cli as cli_mod
+
+        calls = []
+
+        def stub(*a, **kw):
+            calls.append(kw)
+            raise AssertionError("simulated before checking the output")
+
+        monkeypatch.setitem(cli_mod.VERIFY_TARGETS, "q", stub)
+        monkeypatch.setattr(cli_mod, "sample_zero_cell", stub)
+        out = tmp_path / "missing" / "r.json"
+        for argv in (["verify", "q", "--reps", "100000", "--seed", "5", "--out", str(out)],
+                     ["sample", "zerocell", "--seed", "5", "--svg", str(out)]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and f"cannot write {out}" in err
+        assert calls == []
+
     def test_config_values_reach_the_target(self, monkeypatch, tmp_path):
         import crofton.cli as cli_mod
         from crofton.verify import VerifyReport

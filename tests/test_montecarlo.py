@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -69,6 +70,41 @@ class TestEstimators:
         reports = ex.estimate_interarrival(6)
         assert all(r.within(3.5) for r in reports)
         assert sum(r.estimate for r in reports) <= 1.0 + 1e-12
+
+    def test_gap_estimators_match_a_per_start_loop(self):
+        length, max_gap = 30, 6
+        bits = (np.random.default_rng(3).random((60, length + 1, 2)) < 0.3).astype(np.uint8)
+        bits[0] = 0  # a path with no ones
+        bits[1] = 0
+        bits[1, [0, max_gap + 3], 0] = 1  # a path whose next one lies beyond max_gap
+        ex = Experiment(spec_with(reps=60, length=length))
+        ex._paths = bits
+        cols = length + 1 - max_gap
+        gaps = []  # per path, the gap (0 when beyond max_gap) from each start
+        for row in bits[:, :, 0]:
+            gaps.append([next((g for g in range(1, max_gap + 1) if row[c + g]), 0)
+                         for c in range(cols) if row[c]])
+        starts = sum(len(gs) for gs in gaps)
+        reports = ex.estimate_interarrival(max_gap)
+        for g, rep in enumerate(reports, start=1):
+            x = np.array([gs.count(g) for gs in gaps], dtype=float)
+            y = np.array([len(gs) for gs in gaps], dtype=float)
+            assert rep.n == starts and rep.estimate == x.sum() / starts
+            assert rep.stderr == pytest.approx(math.sqrt(sum((x - rep.estimate * y) ** 2)) / starts, rel=1e-12)
+        seen = [g for gs in gaps for g in gs if g]
+        mean_gap = ex.estimate_mean_gap(max_gap)
+        assert mean_gap.n == len(seen) and mean_gap.estimate == sum(seen) / len(seen)
+
+    def test_mean_gap_holds_one_gap_mask_at_a_time(self):
+        ex = Experiment(spec_with(seed=10, reps=4000, length=160))
+        ex.paths  # simulate before measuring the estimator alone
+        tracemalloc.start()
+        try:
+            ex.estimate_mean_gap(60)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6  # sixty 4000x101 boolean masks held at once take 24 MB
 
     def test_conditional_pattern_counts_are_complementary(self):
         ex = Experiment(spec_with(seed=10, reps=30_000))

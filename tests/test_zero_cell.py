@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from _oracles import four_scatter_rect_zero_cells
 from crofton.errors import SimulationAbort
 from crofton.geometry import centered_square, contains, contains_origin_interior, scale
 from crofton.measure import Discrete, Isotropic, LineMeasure, Mixture, discrete_xy, isotropic, lambda_of
@@ -89,6 +90,23 @@ class TestZeroCellSampler:
                 ys = sorted({round(y, 9) for _, y in poly})
                 assert xs == [round(rect[0], 9), round(rect[1], 9)]
                 assert ys == [round(rect[2], 9), round(rect[3], 9)]
+
+    @pytest.mark.parametrize("measure", [
+        XY,
+        XY_UNEQUAL,
+        LineMeasure(Discrete(((0.5 * math.pi, 1.1), (0.0, 0.3)))),
+        LineMeasure(Discrete(((0.0, 0.2), (0.0, 0.5), (0.5 * math.pi, 0.9)))),
+    ], ids=["discrete-xy", "unequal", "half-pi-atom-first", "repeated-zero-atom"])
+    def test_batch_sampler_matches_four_scatter_oracle_bit_for_bit(self, measure):
+        for t in (1.0, 0.37, 2.0, 7.5):
+            batch = _RectBatchZeroCells(measure, t)
+            for m in (1, 2, 7, 4096):
+                for seed in range(10):
+                    stats, want_stats = {}, {}
+                    got = batch.sample(substream(70 + seed, m), m, stats=stats)
+                    want = four_scatter_rect_zero_cells(batch, substream(70 + seed, m), m, want_stats)
+                    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+                    assert stats["active_per_round"] == want_stats["active_per_round"]
 
     def test_doubling_rounds_shrink_and_terminate(self):
         stats = {}
