@@ -90,7 +90,8 @@ class TestEstimators:
             x = np.array([gs.count(g) for gs in gaps], dtype=float)
             y = np.array([len(gs) for gs in gaps], dtype=float)
             assert rep.n == starts and rep.estimate == x.sum() / starts
-            assert rep.stderr == pytest.approx(math.sqrt(sum((x - rep.estimate * y) ** 2)) / starts, rel=1e-12)
+            se = math.sqrt(sum((x - rep.estimate * y) ** 2)) / starts
+            assert rep.stderr == pytest.approx(se, rel=1e-12)
         seen = [g for gs in gaps for g in gs if g]
         mean_gap = ex.estimate_mean_gap(max_gap)
         assert mean_gap.n == len(seen) and mean_gap.estimate == sum(seen) / len(seen)
