@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientConditioningEvents
-from .geometry import ConvexPolygon, contains, scale
+from .geometry import ConvexPolygon, contains, scale  # noqa: F401 (perfbench rebinds the unused `contains`)
 from .measure import LineMeasure, kappa_to_config, lambda_of
 from .renewal import (
     RegenParams,
@@ -43,7 +43,6 @@ __all__ = [
     "Experiment",
     "simulate_indicator_paths",
     "ergodic_average",
-    "per_cell_events",
     "two_sample_containment_test",
     "coverage_calibration",
 ]
@@ -523,20 +522,6 @@ def two_sample_containment_test(
         names, tuple(map(float, fa)), tuple(map(float, fb)), tuple(zs), tuple(ps),
         len(ev_a), len(ev_b), level, passed,
     )
-
-
-def per_cell_events(gen_one, bodies):
-    """Adapter: wrap a per-sample polygon generator into a block event sampler."""
-
-    def block(rng, m):
-        out = np.empty((m, len(bodies)), dtype=bool)
-        for r in range(m):
-            cell = gen_one(rng)
-            for i, body in enumerate(bodies):
-                out[r, i] = contains(cell, body)
-        return out
-
-    return block
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from .montecarlo import (
     Experiment,
     ExperimentSpec,
     ergodic_average,
-    per_cell_events,
     two_sample_containment_test,
 )
 from .renewal import (
@@ -33,13 +32,14 @@ from .renewal import (
     q_vector,
 )
 from .tessellation import stit_batch as stit_run
-from .zero_cell import _RectBatchZeroCells, sample_zero_cell
+from .zero_cell import _PolyZeroCellSampler, _RectBatchZeroCells
 
 # The splitting generators below call the batch driver as `stit_run(..., m)`:
 # the traced benchmark run (perfbench/tracing.py) times the splitting layer at
-# that name, and also rebinds the four names below, which no generator uses.
+# that name, and also rebinds the five names below, which no generator uses.
 from .geometry import contains  # noqa: E402,F401
 from .tessellation import nest, touches_boundary, zero_cell_of  # noqa: E402,F401
+from .zero_cell import sample_zero_cell  # noqa: E402,F401
 
 __all__ = [
     "VerifyReport",
@@ -113,8 +113,9 @@ def pht_zero_cell_events(measure: LineMeasure, bodies, time: float = 1.0, presca
 
         return block
 
-    scaled_bodies = [scale(b, 1.0 / prescale) for b in bodies]
-    return per_cell_events(lambda rng: sample_zero_cell(measure, rng, time), scaled_bodies)
+    sampler = _PolyZeroCellSampler(measure, time)
+    scaled = [scale(b, 1.0 / prescale).as_tuples() for b in bodies]
+    return lambda rng, m: np.array([sampler.gauges(rng, scaled) for _ in range(m)]).reshape(m, len(bodies)) >= 1.0
 
 
 def stit_zero_cell_events(measure: LineMeasure, window: ConvexPolygon, t: float, bodies):

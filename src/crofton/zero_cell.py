@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -24,7 +23,6 @@ from .geometry import (
     EPS_GEOM,
     ConvexPolygon,
     _clip_cell,
-    _contains_tuples,
     _intersect_tuples,
     _rect_to_polygon,
     box_of,
@@ -106,37 +104,68 @@ class _RectBatchZeroCells:
 # convex polygons, held as ccw vertex tuple lists (every measure)
 
 
-def _annulus_lines(kappa, kt: float, time: float, r_lo: float, r_hi: float, rng):
-    """Fresh lines hitting B_r_hi but not B_r_lo: (phi, offset) arrays.
+def _bounded(lines, rr: float) -> bool:
+    """True when the cell cut out by the (phi, offset) lines lies inside the open ball B_rr.
 
-    Per direction the admissible offsets have Lebesgue measure 2*(r_hi - r_lo),
-    independent of phi, so the direction marginal is exactly normalized kappa.
+    A line at distance d < rr with outward normal angle th stops the rays within
+    acos(d/rr) of th before radius rr: the cell lies inside the ball exactly when
+    these open arcs, each shrunk by 1e-12 so that no radius tie counts, cover the circle.
     """
-    count = int(rng.poisson(time * 2.0 * (r_hi - r_lo) * kt))
-    phi = _sample_directions(kappa, rng, count)
-    mag = r_lo + rng.random(count) * (r_hi - r_lo)
-    neg = rng.random(count) < 0.5
-    # a zero-magnitude draw would put a line through the origin; measure-zero event
-    mag[mag == 0.0] = 0.5 * (r_lo + r_hi) if r_lo > 0.0 else 0.5 * r_hi
-    offset = np.where(neg, -mag, mag)
-    return phi, offset
+    arcs = []
+    for ph, off in lines:
+        if off > 0.0:
+            d, th = off, ph
+        else:
+            d, th = -off, ph + math.pi
+        if d < rr:
+            w = math.acos(d / rr) - 1e-12
+            if w > 0.0:
+                s = th - w if th >= w else th - w + math.tau
+                arcs.append((s, s + 2.0 * w))
+    # sweep from angle 0, which only an arc reaching past tau covers
+    reach = max((e for _, e in arcs), default=0.0) - math.tau
+    for s, e in sorted(arcs):
+        if s >= reach:
+            return False
+        if e > reach:
+            reach = e
+    return reach > 0.0
 
 
 class _PolyZeroCellSampler:
     def __init__(self, measure: LineMeasure, time: float = 1.0, r_max_factor: float = DEFAULT_R_MAX_FACTOR):
+        _check_time(time)
         self.kappa = measure.kappa
         self.kt = kappa_total(measure.kappa)
         self.time = time
         self.r0 = 4.0 / (self.kt * time)
         self.r_max = self.r0 * r_max_factor
 
-    def sample(self, rng):
-        """Vertex tuple list of the zero cell at the given time."""
+    def _rounds(self, rng):
+        """Yield (lines, r) at each doubling round whose lines bound the cell inside B_r."""
         lines: list[tuple[float, float]] = []
         r_lo, r = 0.0, self.r0
         while True:
-            phi, offset = _annulus_lines(self.kappa, self.kt, self.time, r_lo, r, rng)
-            lines.extend(zip(phi.tolist(), offset.tolist()))
+            # lines hitting B_r, not B_r_lo: offset measure 2*(r - r_lo) at every phi, so phi ~ kappa
+            count = int(rng.poisson(self.time * 2.0 * (r - r_lo) * self.kt))
+            phi = _sample_directions(self.kappa, rng, count)
+            mag = r_lo + rng.random(count) * (r - r_lo)
+            neg = rng.random(count) < 0.5
+            # a zero-magnitude draw would put a line through the origin; measure-zero event
+            mag[mag == 0.0] = 0.5 * (r_lo + r) if r_lo > 0.0 else 0.5 * r
+            lines.extend(zip(phi.tolist(), np.where(neg, -mag, mag).tolist()))
+            if _bounded(lines, r - EPS_GEOM):
+                yield lines, r
+            r_lo, r = r, 2.0 * r
+            if r > self.r_max:
+                raise SimulationAbort(
+                    f"zero cell still unbounded at radius {r:.3e}; "
+                    "the directional measure may not span the plane"
+                )
+
+    def sample(self, rng):
+        """Vertex tuple list of the zero cell at the given time."""
+        for lines, r in self._rounds(rng):
             verts = [(-r, -r), (r, -r), (r, r), (-r, r)]
             for ph, off in lines:
                 c, s = math.cos(ph), math.sin(ph)
@@ -146,14 +175,30 @@ class _PolyZeroCellSampler:
                     verts = _clip_cell(verts, -c, -s, -off)
                 if verts is None:
                     raise SimulationAbort("zero cell collapsed below the area tolerance")
+            # the clipped vertices confirm the sweep, which a rounding tie could mislead
             if all(x * x + y * y < (r - EPS_GEOM) ** 2 for x, y in verts):
                 return verts
-            r_lo, r = r, 2.0 * r
-            if r > self.r_max:
-                raise SimulationAbort(
-                    f"zero cell still unbounded at radius {r:.3e}; "
-                    "the directional measure may not span the plane"
-                )
+
+    def gauges(self, rng, bodies) -> list:
+        """Per body (a vertex tuple list), the largest c with c * body inside the zero cell.
+
+        By Crofton this is the least ratio of a line's distance d to the body's
+        support in the line's normal; as the support is at most the body's largest
+        vertex norm R, a line with d >= g * R cannot lower the running least ratio g.
+        """
+        lines, _ = next(self._rounds(rng))
+        out = []
+        for verts in bodies:
+            reach = math.sqrt(max(x * x + y * y for x, y in verts))
+            g = math.inf
+            for ph, off in lines:
+                if abs(off) < g * reach:
+                    c, s = math.cos(ph), math.sin(ph)
+                    dots = [c * x + s * y for x, y in verts]
+                    h = max(dots) if off > 0.0 else -min(dots)
+                    g = min(g, abs(off) / h)
+            out.append(g)
+        return out
 
 
 def sample_zero_cell(
@@ -241,10 +286,8 @@ def indicators_pair(path: ZeroCellPath, body: ConvexPolygon, a: float | None = N
 # ---------------------------------------------------------------------------
 # indicator-path engines (consumed by the Monte Carlo harness)
 #
-# Each engine holds path cells in its representation: a run of cells is `cells`,
-# and a streamed path carries its last cell as a run of one. `_walk` is the one
-# renormalized step of a streamed path, `_contain` the one containment test; the
-# polygon walk yields its cells one at a time, so each is tested and dropped.
+# Each engine holds path cells in its representation (a run of cells is `cells`),
+# and `_walk` is its one renormalized step; the polygon engine's bits come from gauges.
 
 
 class _RectPathEngine:
@@ -305,7 +348,11 @@ class _RectPathEngine:
 
 
 class _PolyPathEngine:
-    """General measures: a run of cells is a list of ccw vertex tuple lists."""
+    """General measures: a run of cells is a list of ccw vertex tuple lists.
+
+    Bits come from per-body gauges, the streamed state: a * cell ∩ f * fresh has
+    gauge min(a * gauge, f * fresh gauge), and contains the body when it is >= 1.
+    """
 
     def __init__(self, measure: LineMeasure, a: float, bodies, time: float = 1.0):
         self.sampler = _PolyZeroCellSampler(measure, time)
@@ -330,36 +377,33 @@ class _PolyPathEngine:
                 raise SimulationAbort("path cell collapsed below the area tolerance")
             yield verts
 
-    def _contain(self, cells, out):
-        """Test each cell as it comes into the next row of `out`; returns the last cell."""
-        verts = None
-        for row, verts in zip(out, cells):
-            row[:] = [_contains_tuples(verts, bv) for bv in self.bodies]
-        return verts
-
     def _polygons(self, cells) -> list:
         return [ConvexPolygon._trusted(verts) for verts in cells]
+
+    def _gauge_rows(self, g, rng, n: int) -> np.ndarray:
+        """(n + 1, n_bodies) gauges: row 0 is g, then the n path cells after it."""
+        rows = [g]
+        for _ in range(n):
+            fresh = self.sampler.gauges(rng, self.bodies)
+            rows.append([min(self.a * x, self.f * y) for x, y in zip(rows[-1], fresh)])
+        return np.array(rows).reshape(n + 1, len(self.bodies))
 
     def run_block(self, rng, m: int, n_steps: int) -> np.ndarray:
         """uint8 array (m, n_steps + 1, n_bodies) of containment bits, one path at a time."""
         bits = np.empty((m, n_steps + 1, len(self.bodies)), dtype=np.uint8)
-        for r in range(m):
-            start = self._start(rng)
-            self._contain(chain(start, self._walk(start, rng, n_steps)), bits[r])
+        for row in bits:
+            row[:] = self._gauge_rows(self.sampler.gauges(rng, self.bodies), rng, n_steps) >= 1.0
         return bits
 
     def path_start(self, rng):
         """Initial stationary cell for a streamed single path: (state, bits row)."""
-        state = self._start(rng)
-        bits = np.empty((1, len(self.bodies)), dtype=np.uint8)
-        self._contain(state, bits)
-        return state, bits[0]
+        state = self.sampler.gauges(rng, self.bodies)
+        return state, (np.array(state) >= 1.0).astype(np.uint8)
 
     def path_steps(self, state, rng, n_steps: int):
         """Advance a streamed path by n_steps: (bits (n_steps, n_bodies), state)."""
-        bits = np.empty((n_steps, len(self.bodies)), dtype=np.uint8)
-        last = self._contain(self._walk(state, rng, n_steps), bits)
-        return bits, ([last] if n_steps else state)
+        rows = self._gauge_rows(state, rng, n_steps)
+        return (rows[1:] >= 1.0).astype(np.uint8), rows[-1].tolist()
 
 
 def make_path_engine(measure: LineMeasure, a: float, bodies, time: float = 1.0):

@@ -4,8 +4,10 @@ Each oracle recomputes a quantity by a route structurally different from the
 library implementation it checks: brute-force vertex enumeration for clipping,
 numeric quadrature for the isotropic hitting mass, ray casting for
 containment, the literal per-cell clock race for the splitting process,
-crossing counting for arrangement cell counts, and a four-array copy of the
-axis zero-cell sampler that pins the batch sampler's output bit for bit.
+crossing counting for arrangement cell counts, a four-array copy of the
+axis zero-cell sampler that pins the batch sampler's output bit for bit, and
+the clip-every-round polygon sampler with its clip-and-contain path engine,
+which pin the polygon sampler and the gauge path bits bit for bit.
 """
 from __future__ import annotations
 
@@ -15,8 +17,9 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.spatial import ConvexHull
 
-from crofton.geometry import EPS_GEOM, ConvexPolygon, Direction, width
-from crofton.measure import lambda_of, sample_hitting
+from crofton.errors import SimulationAbort
+from crofton.geometry import EPS_GEOM, ConvexPolygon, Direction, _clip_cell, _contains_tuples, _intersect_tuples, width
+from crofton.measure import _sample_directions, lambda_of, sample_hitting
 from crofton.tessellation import DEFAULT_MAX_JUMPS
 from crofton.geometry import split as geom_split
 
@@ -226,3 +229,87 @@ def four_scatter_rect_zero_cells(batch, rng, m: int, stats: dict):
         stats.setdefault("active_per_round", []).append(int(active.size))
         r_lo, r = r, 2.0 * r
     return x0, x1, y0, y1
+
+
+def clip_every_round_zero_cell(sampler, rng):
+    """The polygon sampler that clips the box B_r by all lines in every doubling round.
+
+    Same draws, in the same order, as `_PolyZeroCellSampler.sample`, which clips
+    only once the arc sweep finds the cell inside the ball; it stops when every
+    clipped vertex lies inside the ball, so the vertex lists must agree bit for bit.
+    """
+    lines = []
+    r_lo, r = 0.0, sampler.r0
+    while True:
+        count = int(rng.poisson(sampler.time * 2.0 * (r - r_lo) * sampler.kt))
+        phi = _sample_directions(sampler.kappa, rng, count)
+        mag = r_lo + rng.random(count) * (r - r_lo)
+        neg = rng.random(count) < 0.5
+        mag[mag == 0.0] = 0.5 * (r_lo + r) if r_lo > 0.0 else 0.5 * r
+        offset = np.where(neg, -mag, mag)
+        lines.extend(zip(phi.tolist(), offset.tolist()))
+        verts = [(-r, -r), (r, -r), (r, r), (-r, r)]
+        for ph, off in lines:
+            c, s = math.cos(ph), math.sin(ph)
+            if off > 0.0:
+                verts = _clip_cell(verts, c, s, off)
+            else:
+                verts = _clip_cell(verts, -c, -s, -off)
+            if verts is None:
+                raise SimulationAbort("zero cell collapsed below the area tolerance")
+        if all(x * x + y * y < (r - EPS_GEOM) ** 2 for x, y in verts):
+            return verts
+        r_lo, r = r, 2.0 * r
+        if r > sampler.r_max:
+            raise SimulationAbort(
+                f"zero cell still unbounded at radius {r:.3e}; "
+                "the directional measure may not span the plane"
+            )
+
+
+class ClippedPolygonPaths:
+    """The polygon path engine that builds every path cell and tests containment.
+
+    Each cell is a * cell ∩ f * fresh, clipped vertex by vertex, and its bits are
+    closed containment within EPS_GEOM; the streamed state is the last cell. Same
+    draws, in the same order, as `_PolyPathEngine`, whose bits come from gauges.
+    """
+
+    def __init__(self, sampler, a: float, bodies):
+        self.sampler = sampler
+        self.a = a
+        self.f = a / (a - 1.0)
+        self.bodies = [b.as_tuples() for b in bodies]
+
+    def _walk(self, verts, rng, n: int):
+        a, f = self.a, self.f
+        for _ in range(n):
+            fresh = clip_every_round_zero_cell(self.sampler, rng)
+            verts = _intersect_tuples([(a * x, a * y) for x, y in verts], [(f * x, f * y) for x, y in fresh])
+            if verts is None:
+                raise SimulationAbort("path cell collapsed below the area tolerance")
+            yield verts
+
+    def _contain(self, cells, out):
+        verts = None
+        for row, verts in zip(out, cells):
+            row[:] = [_contains_tuples(verts, bv) for bv in self.bodies]
+        return verts
+
+    def run_block(self, rng, m: int, n_steps: int) -> np.ndarray:
+        bits = np.empty((m, n_steps + 1, len(self.bodies)), dtype=np.uint8)
+        for r in range(m):
+            start = clip_every_round_zero_cell(self.sampler, rng)
+            self._contain([start, *self._walk(start, rng, n_steps)], bits[r])
+        return bits
+
+    def path_start(self, rng):
+        state = clip_every_round_zero_cell(self.sampler, rng)
+        bits = np.empty((1, len(self.bodies)), dtype=np.uint8)
+        self._contain([state], bits)
+        return state, bits[0]
+
+    def path_steps(self, state, rng, n_steps: int):
+        bits = np.empty((n_steps, len(self.bodies)), dtype=np.uint8)
+        last = self._contain(self._walk(state, rng, n_steps), bits)
+        return bits, (state if last is None else last)

@@ -33,11 +33,14 @@ def spec_with(seed=1, reps=20_000, length=6, workers=1, measure=XY, a=2.0, body=
 
 
 class TestDeterminism:
-    def test_worker_count_does_not_change_results(self):
+    @pytest.mark.parametrize("measure,reps,length", [
+        (XY, BLOCK + 500, 6),
+        (isotropic(), BLOCK + 4, 1),
+    ], ids=["discrete-xy", "isotropic"])
+    def test_worker_count_does_not_change_results(self, measure, reps, length):
         # more replications than one block so the partition actually varies
-        reps = BLOCK + 500
-        one = simulate_indicator_paths(spec_with(seed=77, reps=reps, workers=1))
-        two = simulate_indicator_paths(spec_with(seed=77, reps=reps, workers=2))
+        one = simulate_indicator_paths(spec_with(seed=77, reps=reps, length=length, workers=1, measure=measure))
+        two = simulate_indicator_paths(spec_with(seed=77, reps=reps, length=length, workers=2, measure=measure))
         assert np.array_equal(one, two)
 
     def test_repeated_runs_identical(self):

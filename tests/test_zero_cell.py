@@ -5,13 +5,23 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import four_scatter_rect_zero_cells
+from _oracles import ClippedPolygonPaths, clip_every_round_zero_cell, four_scatter_rect_zero_cells
 from crofton.errors import SimulationAbort
-from crofton.geometry import centered_square, contains, contains_origin_interior, scale
+from crofton.geometry import (
+    EPS_GEOM,
+    _clip_cell,
+    centered_square,
+    contains,
+    contains_origin_interior,
+    regular_polygon,
+    scale,
+)
 from crofton.measure import Discrete, Isotropic, LineMeasure, Mixture, discrete_xy, isotropic, lambda_of
 from crofton.montecarlo import Experiment, ExperimentSpec
 from crofton.rng import substream
 from crofton.zero_cell import (
+    _bounded,
+    _PolyPathEngine,
     _PolyZeroCellSampler,
     _RectBatchZeroCells,
     IndicatorSequence,
@@ -27,6 +37,39 @@ from crofton.zero_cell import (
 XY = discrete_xy()
 XY_UNEQUAL = LineMeasure(Discrete(((0.0, 0.3), (0.5 * math.pi, 1.1))))
 K_UNIT = centered_square(1.0)  # Lambda([K]) = 1 under XY
+GENERAL = {
+    "isotropic": isotropic(),
+    "isotropic-2.5": isotropic(2.5),
+    "three-atoms": LineMeasure(Discrete(((0.0, 0.4), (1.0, 0.7), (2.2, 0.5)))),
+    "mixture": LineMeasure(
+        Mixture(((Isotropic(0.5), 1.0), (Discrete(((0.0, 0.25), (0.5 * math.pi, 0.25))), 1.0)))
+    ),
+}
+HEXAGON = regular_polygon(6, 0.5, 0.2)
+BODY_FAMILIES = {
+    "square": (K_UNIT, scale(K_UNIT, 2.0)),
+    "hexagon": (HEXAGON, scale(HEXAGON, 0.4), scale(HEXAGON, 1.7), scale(HEXAGON, 3.0)),
+}
+
+
+def same_state(rng_a, rng_b) -> bool:
+    return repr(rng_a.bit_generator.state) == repr(rng_b.bit_generator.state)
+
+
+def one_direction_measure(phi: float) -> LineMeasure:
+    """Every line parallel: `Discrete` refuses such a measure, so its atoms are set unvalidated."""
+    kappa = object.__new__(Discrete)
+    object.__setattr__(kappa, "atoms", ((phi, 1.0),))
+    return LineMeasure(kappa)
+
+
+def clip_box(lines, r: float):
+    """The box [-r, r]^2 clipped by the origin side of every (phi, offset) line."""
+    verts = [(-r, -r), (r, -r), (r, r), (-r, r)]
+    for ph, off in lines:
+        c, s = math.cos(ph), math.sin(ph)
+        verts = _clip_cell(verts, c, s, off) if off > 0.0 else _clip_cell(verts, -c, -s, -off)
+    return verts
 
 
 def batch_contains(x0, x1, y0, y1, body):
@@ -121,6 +164,57 @@ class TestZeroCellSampler:
             # cap the radius at the initial value; some draw leaves the cell unbounded
             _RectBatchZeroCells(XY, r_max_factor=1.0).sample(substream(47, 0), 512)
 
+    @pytest.mark.parametrize("name", ["isotropic", "three-atoms", "mixture"])
+    def test_polygon_sampler_matches_clip_every_round_oracle_bit_for_bit(self, name):
+        for t in (0.37, 1.0, 2.5):
+            sampler = _PolyZeroCellSampler(GENERAL[name], t)
+            for seed in range(2000):
+                rng, want_rng = substream(seed, 71), substream(seed, 71)
+                assert sampler.sample(rng) == clip_every_round_zero_cell(sampler, want_rng)
+                assert same_state(rng, want_rng)
+
+    def test_bounded_needs_lines_all_around(self):
+        assert not _bounded([], 5.0)
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            # every outward normal in the open left half-circle: the cell is open to the right
+            th = 0.5 * math.pi + 0.01 + rng.random(40) * (math.pi - 0.02)
+            d = 0.01 + rng.random(40)
+            lines = [(t, e) if t < math.pi else (t - math.pi, -e) for t, e in zip(th.tolist(), d.tolist())]
+            assert not _bounded(lines, 10.0)
+
+    def test_bounded_agrees_with_clipped_vertices_near_the_threshold(self):
+        rng = np.random.default_rng(4)
+        agree = bounded = 0
+        for _ in range(2000):
+            k = int(rng.integers(3, 31))
+            phi = rng.random(k) * math.pi
+            off = (0.05 + rng.random(k)) * np.where(rng.random(k) < 0.5, -1.0, 1.0)
+            lines = list(zip(phi.tolist(), off.tolist()))
+            cell = clip_box(lines, 1e6)
+            far = math.sqrt(max(x * x + y * y for x, y in cell))
+            for rr in (far * (1.0 - 1e-6), far * (1.0 + 1e-6), 0.5 * far, 2.0 * far):
+                r = rr + EPS_GEOM
+                verts = clip_box(lines, r)
+                want = all(x * x + y * y < rr * rr for x, y in verts)
+                got = _bounded(lines, rr)
+                agree += got == want
+                bounded += got
+        assert agree == 8000 and 0 < bounded < 8000
+
+    @pytest.mark.parametrize("measure,factor", [
+        (isotropic(), 1.0),
+        (one_direction_measure(0.3), 64.0),
+    ], ids=["radius-cap", "one-direction"])
+    def test_polygon_sampler_aborts_when_unbounded_at_the_cap(self, measure, factor):
+        sampler = _PolyZeroCellSampler(measure, r_max_factor=factor)
+        message = "still unbounded at radius .*the directional measure may not span the plane"
+        for draw in (sampler.sample, lambda rng: sampler.gauges(rng, [K_UNIT.as_tuples()])):
+            rng = substream(72, 0)
+            with pytest.raises(SimulationAbort, match=message):
+                for _ in range(200):
+                    draw(rng)
+
     def test_time_parameter_scales_the_law(self):
         # cell(t) scaled by t has the containment law of cell(1)
         n = 30_000
@@ -134,6 +228,9 @@ class TestZeroCellSampler:
     def test_rejects_bad_time(self):
         with pytest.raises(ValueError):
             sample_zero_cell(XY, substream(1, 0), time=0.0)
+        for t in (math.nan, -1.0):
+            with pytest.raises(ValueError, match="time must be finite and positive"):
+                _PolyZeroCellSampler(isotropic(), t)
 
 
 class TestGammaPath:
@@ -226,6 +323,40 @@ class TestIndicators:
             assert np.array_equal(iK.bits, bits[:, 0])
             assert np.array_equal(iaK.bits, bits[:, 1])
             assert np.all(iaK.bits <= iK.bits)
+
+    @pytest.mark.parametrize("name", list(GENERAL))
+    def test_gauge_engine_matches_clipping_oracle_bit_for_bit(self, name):
+        measure = GENERAL[name]
+        for family, bodies in BODY_FAMILIES.items():
+            for a in (2.0, 3.5):
+                engine = _PolyPathEngine(measure, a, bodies)
+                oracle = ClippedPolygonPaths(_PolyZeroCellSampler(measure), a, bodies)
+                for m in (1, 7, 30):
+                    for n_steps in (0, 1, 6):
+                        key = 100 * n_steps + 10 * len(family) + int(a)
+                        rng, want_rng = substream(m, key), substream(m, key)
+                        got = engine.run_block(rng, m, n_steps)
+                        assert np.array_equal(got, oracle.run_block(want_rng, m, n_steps))
+                        assert got.shape == (m, n_steps + 1, len(bodies)) and same_state(rng, want_rng)
+
+    @pytest.mark.parametrize("name", list(GENERAL))
+    def test_streamed_gauge_path_matches_oracle_in_any_chunking(self, name):
+        bodies = BODY_FAMILIES["hexagon"]
+        engine = _PolyPathEngine(GENERAL[name], 2.0, bodies)
+        oracle = ClippedPolygonPaths(_PolyZeroCellSampler(GENERAL[name]), 2.0, bodies)
+        for seed in range(3):
+            runs = []
+            for eng, chunks in ((oracle, (201,)), (engine, (201,)), (engine, (0, 1, 6, 50, 144, 0))):
+                rng = substream(seed, 73)
+                state, first = eng.path_start(rng)
+                rows = [first[None, :]]
+                for n in chunks:
+                    chunk, state = eng.path_steps(state, rng, n)
+                    assert chunk.shape == (n, len(bodies))
+                    rows.append(chunk)
+                runs.append((np.vstack(rows).astype(np.uint8), repr(rng.bit_generator.state)))
+            assert runs[0][0].shape == (202, len(bodies))
+            assert all(np.array_equal(bits, runs[0][0]) and st == runs[0][1] for bits, st in runs)
 
     def test_conditional_scaled_containment(self):
         # P(cell contains aK | cell contains K) = exp(-(a-1) Lambda([K]))
