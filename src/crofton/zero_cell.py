@@ -141,8 +141,8 @@ class _PolyZeroCellSampler:
         self.r0 = 4.0 / (self.kt * time)
         self.r_max = self.r0 * r_max_factor
 
-    def _rounds(self, rng):
-        """Yield (lines, r) at each doubling round whose lines bound the cell inside B_r."""
+    def _lines(self, rng):
+        """(lines, r) at the first doubling round whose (phi, offset) lines bound the cell inside B_r."""
         lines: list[tuple[float, float]] = []
         r_lo, r = 0.0, self.r0
         while True:
@@ -155,7 +155,7 @@ class _PolyZeroCellSampler:
             mag[mag == 0.0] = 0.5 * (r_lo + r) if r_lo > 0.0 else 0.5 * r
             lines.extend(zip(phi.tolist(), np.where(neg, -mag, mag).tolist()))
             if _bounded(lines, r - EPS_GEOM):
-                yield lines, r
+                return lines, r
             r_lo, r = r, 2.0 * r
             if r > self.r_max:
                 raise SimulationAbort(
@@ -165,28 +165,27 @@ class _PolyZeroCellSampler:
 
     def sample(self, rng):
         """Vertex tuple list of the zero cell at the given time."""
-        for lines, r in self._rounds(rng):
-            verts = [(-r, -r), (r, -r), (r, r), (-r, r)]
-            for ph, off in lines:
-                c, s = math.cos(ph), math.sin(ph)
-                if off > 0.0:
-                    verts = _clip_cell(verts, c, s, off)
-                else:
-                    verts = _clip_cell(verts, -c, -s, -off)
-                if verts is None:
-                    raise SimulationAbort("zero cell collapsed below the area tolerance")
-            # the clipped vertices confirm the sweep, which a rounding tie could mislead
-            if all(x * x + y * y < (r - EPS_GEOM) ** 2 for x, y in verts):
-                return verts
+        lines, r = self._lines(rng)
+        verts = [(-r, -r), (r, -r), (r, r), (-r, r)]
+        for ph, off in lines:
+            c, s = math.cos(ph), math.sin(ph)
+            if off > 0.0:
+                verts = _clip_cell(verts, c, s, off)
+            else:
+                verts = _clip_cell(verts, -c, -s, -off)
+            if verts is None:
+                raise SimulationAbort("zero cell collapsed below the area tolerance")
+        return verts
 
     def gauges(self, rng, bodies) -> list:
         """Per body (a vertex tuple list), the largest c with c * body inside the zero cell.
 
         By Crofton this is the least ratio of a line's distance d to the body's
-        support in the line's normal; as the support is at most the body's largest
-        vertex norm R, a line with d >= g * R cannot lower the running least ratio g.
+        support h in the line's normal, over the lines with h > 0: no other line cuts
+        any c * body with c >= 0, so the body need not contain the origin. As h is at
+        most the largest vertex norm R, a line with d >= g * R cannot lower g.
         """
-        lines, _ = next(self._rounds(rng))
+        lines, _ = self._lines(rng)
         out = []
         for verts in bodies:
             reach = math.sqrt(max(x * x + y * y for x, y in verts))
@@ -196,7 +195,8 @@ class _PolyZeroCellSampler:
                     c, s = math.cos(ph), math.sin(ph)
                     dots = [c * x + s * y for x, y in verts]
                     h = max(dots) if off > 0.0 else -min(dots)
-                    g = min(g, abs(off) / h)
+                    if h > 0.0:
+                        g = min(g, abs(off) / h)
             out.append(g)
         return out
 

@@ -236,7 +236,8 @@ def clip_every_round_zero_cell(sampler, rng):
 
     Same draws, in the same order, as `_PolyZeroCellSampler.sample`, which clips
     only once the arc sweep finds the cell inside the ball; it stops when every
-    clipped vertex lies inside the ball, so the vertex lists must agree bit for bit.
+    clipped vertex lies inside the ball, so the vertex lists agree bit for bit but
+    at radius ties of about 1e-12, where the two stopping rules may differ.
     """
     lines = []
     r_lo, r = 0.0, sampler.r0

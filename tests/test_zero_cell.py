@@ -9,7 +9,9 @@ from _oracles import ClippedPolygonPaths, clip_every_round_zero_cell, four_scatt
 from crofton.errors import SimulationAbort
 from crofton.geometry import (
     EPS_GEOM,
+    ConvexPolygon,
     _clip_cell,
+    _contains_tuples,
     centered_square,
     contains,
     contains_origin_interior,
@@ -19,6 +21,7 @@ from crofton.geometry import (
 from crofton.measure import Discrete, Isotropic, LineMeasure, Mixture, discrete_xy, isotropic, lambda_of
 from crofton.montecarlo import Experiment, ExperimentSpec
 from crofton.rng import substream
+from crofton.verify import pht_zero_cell_events
 from crofton.zero_cell import (
     _bounded,
     _PolyPathEngine,
@@ -46,9 +49,13 @@ GENERAL = {
     ),
 }
 HEXAGON = regular_polygon(6, 0.5, 0.2)
+# bodies without the origin in their interior: one with a vertex at it, one away from it
+CORNER = ConvexPolygon([(0.0, 0.0), (0.6, 0.0), (0.0, 0.6)])
+AWAY = ConvexPolygon([(0.15, 0.05), (0.5, 0.1), (0.2, 0.4)])
 BODY_FAMILIES = {
     "square": (K_UNIT, scale(K_UNIT, 2.0)),
     "hexagon": (HEXAGON, scale(HEXAGON, 0.4), scale(HEXAGON, 1.7), scale(HEXAGON, 3.0)),
+    "off-origin": (CORNER, scale(CORNER, 2.0), AWAY, scale(AWAY, 2.5)),
 }
 
 
@@ -341,7 +348,7 @@ class TestIndicators:
 
     @pytest.mark.parametrize("name", list(GENERAL))
     def test_streamed_gauge_path_matches_oracle_in_any_chunking(self, name):
-        bodies = BODY_FAMILIES["hexagon"]
+        bodies = BODY_FAMILIES["hexagon"] + BODY_FAMILIES["off-origin"]
         engine = _PolyPathEngine(GENERAL[name], 2.0, bodies)
         oracle = ClippedPolygonPaths(_PolyZeroCellSampler(GENERAL[name]), 2.0, bodies)
         for seed in range(3):
@@ -379,6 +386,20 @@ class TestIndicators:
         target = math.exp(-3.0)
         se = math.sqrt(target * (1 - target) / int(in_k.sum()))
         assert abs(est - target) <= 3.0 * se
+
+    @pytest.mark.parametrize("name", ["isotropic", "three-atoms"])
+    def test_pht_events_match_clipped_cell_containment(self, name):
+        # the Poisson side of the containment comparisons: gauges of 1/prescale bodies
+        bodies = (K_UNIT, HEXAGON) + BODY_FAMILIES["off-origin"]
+        for t, prescale in ((1.0, 1.0), (0.5, 0.5), (2.0, 2.0)):
+            sampler = _PolyZeroCellSampler(GENERAL[name], t)
+            scaled = [scale(b, 1.0 / prescale).as_tuples() for b in bodies]
+            rng, want_rng = substream(74, int(4 * t)), substream(74, int(4 * t))
+            got = pht_zero_cell_events(GENERAL[name], bodies, t, prescale)(rng, 300)
+            cells = [clip_every_round_zero_cell(sampler, want_rng) for _ in range(300)]
+            want = np.array([[_contains_tuples(c, b) for b in scaled] for c in cells])
+            assert np.array_equal(got, want) and same_state(rng, want_rng)
+            assert 0 < int(got.sum()) < got.size
 
 
 class TestSerialization:
