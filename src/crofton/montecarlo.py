@@ -3,9 +3,9 @@
 Replications are partitioned into fixed-size blocks; block j draws exclusively
 from the counter-based Philox substream keyed by (master seed, j), so every
 estimate is bit-identical for a given seed regardless of how blocks are
-distributed over workers. Reported uncertainties: Wilson-style binomial or
-cluster (per-path) delta-method standard errors for ratio estimators, batch
-means for the single-path time average.
+distributed over workers. Standard errors are taken at the analytic value
+(score errors): binomial for ratios and frequencies, per-path cluster
+residuals for the gap estimators; batch means for the single-path average.
 """
 from __future__ import annotations
 
@@ -44,7 +44,6 @@ __all__ = [
     "simulate_indicator_paths",
     "ergodic_average",
     "two_sample_containment_test",
-    "coverage_calibration",
 ]
 
 BLOCK = 4096
@@ -132,15 +131,14 @@ def _report(name: str, estimate: float, stderr: float, n: int, analytic: float |
     return EstimateReport(name, estimate, stderr, ci, analytic, z, n)
 
 
-def _ratio_report(name: str, num: float, den: float, analytic: float | None) -> EstimateReport:
-    """Conditional-probability estimate with binomial (delta-method) standard error."""
+def _ratio_report(name: str, num: float, den: float, analytic: float) -> EstimateReport:
+    """Conditional-probability estimate with the binomial standard error at the analytic value."""
     if den < 100:
         raise InsufficientConditioningEvents(
             f"{name}: only {int(den)} conditioning events (< 100); raise replications"
         )
-    est = num / den
-    se = math.sqrt(max(est * (1.0 - est), 1e-300) / den)
-    return _report(name, est, se, int(den), analytic)
+    se = math.sqrt(max(analytic * (1.0 - analytic), 1e-300) / den)
+    return _report(name, num / den, se, int(den), analytic)
 
 
 # ---------------------------------------------------------------------------
@@ -320,10 +318,9 @@ class Experiment:
         out = []
         for g, hit_g in hits:
             x = hit_g.sum(axis=1).astype(float)
-            est = float(x.sum()) / den
-            resid = x - est * y
+            resid = x - pvec.p(g) * y
             se = math.sqrt(float(resid @ resid)) / den
-            out.append(_report(f"p[{g}]", est, se, int(den), pvec.p(g)))
+            out.append(_report(f"p[{g}]", float(x.sum()) / den, se, int(den), pvec.p(g)))
         return out
 
     def estimate_mean_gap(self, censor: int = 60) -> EstimateReport:
@@ -343,10 +340,10 @@ class Experiment:
         total = float(counts.sum())
         if total < 100:
             raise InsufficientConditioningEvents(f"only {int(total)} complete gaps")
-        est = float(sums.sum()) / total
-        resid = sums - est * counts
+        mean = math.exp(self.spec.lambda_k)
+        resid = sums - mean * counts
         se = math.sqrt(float(resid @ resid)) / total
-        return _report("mean_gap", est, se, int(total), math.exp(self.spec.lambda_k))
+        return _report("mean_gap", float(sums.sum()) / total, se, int(total), mean)
 
     # -- stationary delay laws ------------------------------------------------
 
@@ -370,16 +367,14 @@ class Experiment:
         if n_ok < 100:
             raise InsufficientConditioningEvents(f"only {n_ok} straddling gaps")
         law = stationary_delay(p_vector(self.spec.params))
-        spanning = []
-        forward = []
-        for k in range(1, max_k + 1):
-            est = float((span == k).mean())
-            se = math.sqrt(max(est * (1 - est), 1e-300) / n_ok)
-            spanning.append(_report(f"spanning[{k}]", est, se, n_ok, float(law.spanning[k - 1])))
-        for k in range(0, max_k + 1):
-            est = float((fwd == k).mean())
-            se = math.sqrt(max(est * (1 - est), 1e-300) / n_ok)
-            forward.append(_report(f"forward[{k}]", est, se, n_ok, float(law.forward[k])))
+
+        def frequency(name, hits, p0):
+            p0 = float(p0)
+            se = math.sqrt(max(p0 * (1.0 - p0), 1e-300) / n_ok)
+            return _report(name, float(hits.mean()), se, n_ok, p0)
+
+        spanning = [frequency(f"spanning[{k}]", span == k, law.spanning[k - 1]) for k in range(1, max_k + 1)]
+        forward = [frequency(f"forward[{k}]", fwd == k, law.forward[k]) for k in range(max_k + 1)]
         return spanning, forward, n_missing
 
     # -- conditional law of the scaled body ------------------------------------
@@ -522,17 +517,3 @@ def two_sample_containment_test(
         names, tuple(map(float, fa)), tuple(map(float, fb)), tuple(zs), tuple(ps),
         len(ev_a), len(ev_b), level, passed,
     )
-
-
-# ---------------------------------------------------------------------------
-
-
-def coverage_calibration(make_report, n_meta: int = 20, base_seed: int = 0) -> float:
-    """Fraction of meta-runs whose 99% CI covers the analytic value."""
-    covered = 0
-    for i in range(n_meta):
-        rep = make_report(base_seed + i)
-        lo, hi = rep.ci99
-        if lo <= rep.analytic <= hi:
-            covered += 1
-    return covered / n_meta

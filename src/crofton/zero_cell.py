@@ -1,11 +1,11 @@
 """Zero-cell sampling and the renormalized stationary zero-cell path.
 
 The zero cell at time t is the cell containing the origin, realized as the
-intersection of origin-side half-planes of a Poisson line population. Lines
-are materialized lazily by adaptive radius doubling: the population hitting
-the ball B_R is sampled first, and fresh independent annulus populations
-(hitting B_2R but not B_R) are added until the cell provably lies strictly
-inside the current ball, at which point no unseen line can cut it.
+intersection of origin-side half-planes of a Poisson line population. A cell
+polygon takes its lines by adaptive radius doubling: the population hitting
+the ball B_R first, then fresh annulus populations (hitting B_2R but not B_R)
+until the cell provably lies strictly inside the current ball. Path bits need
+no polygon: a body's gauge capped at c sees only the lines hitting B_{c*R}.
 
 The renormalized path with base a > 1 starts from a stationary zero cell and
 iterates cell_{n+1} = (a * cell_n) intersect (a/(a-1) * fresh zero cell).
@@ -132,6 +132,12 @@ def _bounded(lines, rr: float) -> bool:
     return reach > 0.0
 
 
+def gauge_bodies(bodies) -> list:
+    """(ccw vertex tuple list, largest vertex norm) per body: the form `gauges` takes."""
+    tuples = [body.as_tuples() for body in bodies]
+    return [(verts, math.sqrt(max(x * x + y * y for x, y in verts))) for verts in tuples]
+
+
 class _PolyZeroCellSampler:
     def __init__(self, measure: LineMeasure, time: float = 1.0, r_max_factor: float = DEFAULT_R_MAX_FACTOR):
         _check_time(time)
@@ -141,8 +147,8 @@ class _PolyZeroCellSampler:
         self.r0 = 4.0 / (self.kt * time)
         self.r_max = self.r0 * r_max_factor
 
-    def _lines(self, rng):
-        """(lines, r) at the first doubling round whose (phi, offset) lines bound the cell inside B_r."""
+    def sample(self, rng):
+        """Vertex tuple list of the zero cell: lines by doubling rounds until they bound it inside B_r."""
         lines: list[tuple[float, float]] = []
         r_lo, r = 0.0, self.r0
         while True:
@@ -155,48 +161,46 @@ class _PolyZeroCellSampler:
             mag[mag == 0.0] = 0.5 * (r_lo + r) if r_lo > 0.0 else 0.5 * r
             lines.extend(zip(phi.tolist(), np.where(neg, -mag, mag).tolist()))
             if _bounded(lines, r - EPS_GEOM):
-                return lines, r
+                break
             r_lo, r = r, 2.0 * r
             if r > self.r_max:
                 raise SimulationAbort(
                     f"zero cell still unbounded at radius {r:.3e}; "
                     "the directional measure may not span the plane"
                 )
-
-    def sample(self, rng):
-        """Vertex tuple list of the zero cell at the given time."""
-        lines, r = self._lines(rng)
         verts = [(-r, -r), (r, -r), (r, r), (-r, r)]
         for ph, off in lines:
             c, s = math.cos(ph), math.sin(ph)
-            if off > 0.0:
-                verts = _clip_cell(verts, c, s, off)
-            else:
-                verts = _clip_cell(verts, -c, -s, -off)
+            verts = _clip_cell(verts, c, s, off) if off > 0.0 else _clip_cell(verts, -c, -s, -off)
             if verts is None:
                 raise SimulationAbort("zero cell collapsed below the area tolerance")
         return verts
 
-    def gauges(self, rng, bodies) -> list:
-        """Per body (a vertex tuple list), the largest c with c * body inside the zero cell.
+    def gauges(self, rng, bodies, cap: float) -> list:
+        """Per body of `gauge_bodies`, the largest c <= cap with c * body inside the zero cell.
 
-        By Crofton this is the least ratio of a line's distance d to the body's
-        support h in the line's normal, over the lines with h > 0: no other line cuts
-        any c * body with c >= 0, so the body need not contain the origin. As h is at
-        most the largest vertex norm R, a line with d >= g * R cannot lower g.
+        A line at distance d cuts c * body exactly when c > d / h, h the body's support
+        in the line's normal, and no line with h <= 0 cuts any c * body with c >= 0, so
+        the body need not contain the origin. As h is at most the largest vertex norm R,
+        only lines hitting the ball of radius cap * R can bring c below cap: by Crofton
+        those hitting radius rho = cap * max R are one Poisson draw of mass 2 * rho * kt.
         """
-        lines, _ = self._lines(rng)
+        rho = cap * max(r for _, r in bodies)
+        count = int(rng.poisson(self.time * 2.0 * rho * self.kt))
+        phi = _sample_directions(self.kappa, rng, count).tolist()
+        lines = []  # (distance, unit normal from the origin towards the line)
+        for ph, u in zip(phi, rng.random(count).tolist()):
+            off = rho * (2.0 * u - 1.0)
+            c, s = math.cos(ph), math.sin(ph)
+            lines.append((off, c, s) if off > 0.0 else (-off, -c, -s))
         out = []
-        for verts in bodies:
-            reach = math.sqrt(max(x * x + y * y for x, y in verts))
-            g = math.inf
-            for ph, off in lines:
-                if abs(off) < g * reach:
-                    c, s = math.cos(ph), math.sin(ph)
-                    dots = [c * x + s * y for x, y in verts]
-                    h = max(dots) if off > 0.0 else -min(dots)
+        for verts, r in bodies:
+            g = cap
+            for d, c, s in lines:
+                if d < g * r:
+                    h = max([c * x + s * y for x, y in verts])
                     if h > 0.0:
-                        g = min(g, abs(off) / h)
+                        g = min(g, d / h)
             out.append(g)
         return out
 
@@ -350,15 +354,16 @@ class _RectPathEngine:
 class _PolyPathEngine:
     """General measures: a run of cells is a list of ccw vertex tuple lists.
 
-    Bits come from per-body gauges, the streamed state: a * cell ∩ f * fresh has
-    gauge min(a * gauge, f * fresh gauge), and contains the body when it is >= 1.
+    Bits come from per-body gauges capped at 1, the streamed state: a * cell ∩ f * fresh
+    has gauge min(a * gauge, f * fresh gauge), and contains the body when it is >= 1, so
+    min(a * D, f * g, 1) with the fresh gauge g capped at 1/f gives the same bits.
     """
 
     def __init__(self, measure: LineMeasure, a: float, bodies, time: float = 1.0):
         self.sampler = _PolyZeroCellSampler(measure, time)
         self.a = a
         self.f = a / (a - 1.0)
-        self.bodies = [b.as_tuples() for b in bodies]
+        self.bodies = gauge_bodies(bodies)
 
     def _start(self, rng) -> list:
         return [self.sampler.sample(rng)]
@@ -381,23 +386,24 @@ class _PolyPathEngine:
         return [ConvexPolygon._trusted(verts) for verts in cells]
 
     def _gauge_rows(self, g, rng, n: int) -> np.ndarray:
-        """(n + 1, n_bodies) gauges: row 0 is g, then the n path cells after it."""
+        """(n + 1, n_bodies) capped gauges: row 0 is g, then the n path cells after it."""
         rows = [g]
+        a, f = self.a, self.f
         for _ in range(n):
-            fresh = self.sampler.gauges(rng, self.bodies)
-            rows.append([min(self.a * x, self.f * y) for x, y in zip(rows[-1], fresh)])
+            fresh = self.sampler.gauges(rng, self.bodies, 1.0 / f)
+            rows.append([min(a * x, f * y, 1.0) for x, y in zip(rows[-1], fresh)])
         return np.array(rows).reshape(n + 1, len(self.bodies))
 
     def run_block(self, rng, m: int, n_steps: int) -> np.ndarray:
         """uint8 array (m, n_steps + 1, n_bodies) of containment bits, one path at a time."""
         bits = np.empty((m, n_steps + 1, len(self.bodies)), dtype=np.uint8)
         for row in bits:
-            row[:] = self._gauge_rows(self.sampler.gauges(rng, self.bodies), rng, n_steps) >= 1.0
+            row[:] = self._gauge_rows(self.sampler.gauges(rng, self.bodies, 1.0), rng, n_steps) >= 1.0
         return bits
 
     def path_start(self, rng):
         """Initial stationary cell for a streamed single path: (state, bits row)."""
-        state = self.sampler.gauges(rng, self.bodies)
+        state = self.sampler.gauges(rng, self.bodies, 1.0)
         return state, (np.array(state) >= 1.0).astype(np.uint8)
 
     def path_steps(self, state, rng, n_steps: int):

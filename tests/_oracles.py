@@ -5,9 +5,11 @@ library implementation it checks: brute-force vertex enumeration for clipping,
 numeric quadrature for the isotropic hitting mass, ray casting for
 containment, the literal per-cell clock race for the splitting process,
 crossing counting for arrangement cell counts, a four-array copy of the
-axis zero-cell sampler that pins the batch sampler's output bit for bit, and
-the clip-every-round polygon sampler with its clip-and-contain path engine,
-which pin the polygon sampler and the gauge path bits bit for bit.
+axis zero-cell sampler that pins the batch sampler's output bit for bit, the
+clip-every-round polygon sampler, which pins the polygon sampler bit for bit,
+a clip-and-contain path engine, which on the capped gauges' own lines pins the
+gauge path bits bit for bit, and the exact law of the path bits, which draws
+no line at all.
 """
 from __future__ import annotations
 
@@ -268,24 +270,81 @@ def clip_every_round_zero_cell(sampler, rng):
             )
 
 
+def capped_zero_cell(sampler, rng, reach: float, cap: float):
+    """The box of radius rho = cap * reach, clipped by the zero cell's lines that hit the ball B_rho.
+
+    Same draws, in the same order, as `_PolyZeroCellSampler.gauges(rng, bodies, cap)` for
+    bodies whose largest vertex norm is `reach`. No other line meets c * body for c <= cap,
+    which lies in B_rho, so such a c * body lies in this polygon exactly when it lies in the
+    zero cell.
+    """
+    rho = cap * reach
+    count = int(rng.poisson(sampler.time * 2.0 * rho * sampler.kt))
+    phi = _sample_directions(sampler.kappa, rng, count)
+    offset = rho * (2.0 * rng.random(count) - 1.0)
+    verts = [(-rho, -rho), (rho, -rho), (rho, rho), (-rho, rho)]
+    for ph, off in zip(phi.tolist(), offset.tolist()):
+        c, s = math.cos(ph), math.sin(ph)
+        verts = _clip_cell(verts, c, s, off) if off > 0.0 else _clip_cell(verts, -c, -s, -off)
+        if verts is None:
+            raise SimulationAbort("zero cell collapsed below the area tolerance")
+    return verts
+
+
+def law_paths(lam: float, a: float, m: int, n: int, rng) -> np.ndarray:
+    """uint8 (m, n + 1, 2) path bits of K and aK drawn from their exact law; no line is drawn.
+
+    By Crofton the gauge of K in a zero cell (the largest c with cK inside it) is
+    Exp(lam) with lam = Lambda([K]), and fresh cells are independent, so the gauge of
+    path cell k is G_0 = g_0 and G_k = min(a * G_(k-1), f * g_k), f = a / (a - 1), with
+    g_k ~ Exp(lam) i.i.d.; cell k contains K when G_k >= 1 and aK when G_k >= a.
+    """
+    f = a / (a - 1.0)
+    g = rng.exponential(1.0 / lam, (m, n + 1))
+    for k in range(1, n + 1):
+        g[:, k] = np.minimum(a * g[:, k - 1], f * g[:, k])
+    return np.stack([g >= 1.0, g >= a], axis=2).astype(np.uint8)
+
+
+def coverage_calibration(make_report, n_meta: int = 20, base_seed: int = 0) -> float:
+    """Fraction of meta-runs whose 99% CI covers the analytic value."""
+    covered = 0
+    for i in range(n_meta):
+        rep = make_report(base_seed + i)
+        lo, hi = rep.ci99
+        if lo <= rep.analytic <= hi:
+            covered += 1
+    return covered / n_meta
+
+
 class ClippedPolygonPaths:
-    """The polygon path engine that builds every path cell and tests containment.
+    """A polygon path engine that builds every path cell and tests containment.
 
     Each cell is a * cell ∩ f * fresh, clipped vertex by vertex, and its bits are
-    closed containment within EPS_GEOM; the streamed state is the last cell. Same
-    draws, in the same order, as `_PolyPathEngine`, whose bits come from gauges.
+    closed containment within EPS_GEOM; the streamed state is the last cell. Its
+    zero cells come from `clip_every_round_zero_cell` (the doubling route), or with
+    `capped` from `capped_zero_cell` at cap 1 for the start and 1/f for a fresh cell:
+    then it makes the same draws, in the same order, as `_PolyPathEngine`, whose
+    bits come from capped gauges.
     """
 
-    def __init__(self, sampler, a: float, bodies):
+    def __init__(self, sampler, a: float, bodies, capped: bool = False):
         self.sampler = sampler
         self.a = a
         self.f = a / (a - 1.0)
         self.bodies = [b.as_tuples() for b in bodies]
+        self.capped = capped
+        self.reach = max(math.sqrt(max(x * x + y * y for x, y in verts)) for verts in self.bodies)
+
+    def _cell(self, rng, cap: float):
+        if self.capped:
+            return capped_zero_cell(self.sampler, rng, self.reach, cap)
+        return clip_every_round_zero_cell(self.sampler, rng)
 
     def _walk(self, verts, rng, n: int):
         a, f = self.a, self.f
         for _ in range(n):
-            fresh = clip_every_round_zero_cell(self.sampler, rng)
+            fresh = self._cell(rng, 1.0 / f)
             verts = _intersect_tuples([(a * x, a * y) for x, y in verts], [(f * x, f * y) for x, y in fresh])
             if verts is None:
                 raise SimulationAbort("path cell collapsed below the area tolerance")
@@ -300,12 +359,12 @@ class ClippedPolygonPaths:
     def run_block(self, rng, m: int, n_steps: int) -> np.ndarray:
         bits = np.empty((m, n_steps + 1, len(self.bodies)), dtype=np.uint8)
         for r in range(m):
-            start = clip_every_round_zero_cell(self.sampler, rng)
+            start = self._cell(rng, 1.0)
             self._contain([start, *self._walk(start, rng, n_steps)], bits[r])
         return bits
 
     def path_start(self, rng):
-        state = clip_every_round_zero_cell(self.sampler, rng)
+        state = self._cell(rng, 1.0)
         bits = np.empty((1, len(self.bodies)), dtype=np.uint8)
         self._contain([state], bits)
         return state, bits[0]

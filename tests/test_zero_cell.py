@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import ClippedPolygonPaths, clip_every_round_zero_cell, four_scatter_rect_zero_cells
+from _oracles import (
+    ClippedPolygonPaths,
+    capped_zero_cell,
+    clip_every_round_zero_cell,
+    four_scatter_rect_zero_cells,
+    law_paths,
+)
 from crofton.errors import SimulationAbort
 from crofton.geometry import (
     EPS_GEOM,
@@ -19,7 +25,7 @@ from crofton.geometry import (
     scale,
 )
 from crofton.measure import Discrete, Isotropic, LineMeasure, Mixture, discrete_xy, isotropic, lambda_of
-from crofton.montecarlo import Experiment, ExperimentSpec
+from crofton.montecarlo import Experiment, ExperimentSpec, two_sample_containment_test
 from crofton.rng import substream
 from crofton.verify import pht_zero_cell_events
 from crofton.zero_cell import (
@@ -28,6 +34,7 @@ from crofton.zero_cell import (
     _PolyZeroCellSampler,
     _RectBatchZeroCells,
     IndicatorSequence,
+    gauge_bodies,
     indicators,
     indicators_pair,
     make_path_engine,
@@ -216,11 +223,21 @@ class TestZeroCellSampler:
     def test_polygon_sampler_aborts_when_unbounded_at_the_cap(self, measure, factor):
         sampler = _PolyZeroCellSampler(measure, r_max_factor=factor)
         message = "still unbounded at radius .*the directional measure may not span the plane"
-        for draw in (sampler.sample, lambda rng: sampler.gauges(rng, [K_UNIT.as_tuples()])):
-            rng = substream(72, 0)
-            with pytest.raises(SimulationAbort, match=message):
-                for _ in range(200):
-                    draw(rng)
+        rng = substream(72, 0)
+        with pytest.raises(SimulationAbort, match=message):
+            for _ in range(200):
+                sampler.sample(rng)
+        # the capped gauges draw once, with no doubling: finite, and equal to the same-lines oracle
+        bodies = BODY_FAMILIES["hexagon"]
+        pairs = gauge_bodies(bodies)
+        reach = max(r for _, r in pairs)
+        rng, want_rng = substream(72, 0), substream(72, 0)
+        for _ in range(200):
+            got = sampler.gauges(rng, pairs, 1.0)
+            cell = capped_zero_cell(sampler, want_rng, reach, 1.0)
+            assert all(math.isfinite(g) and 0.0 <= g <= 1.0 for g in got)
+            assert [g >= 1.0 for g in got] == [_contains_tuples(cell, b.as_tuples()) for b in bodies]
+        assert same_state(rng, want_rng)
 
     def test_time_parameter_scales_the_law(self):
         # cell(t) scaled by t has the containment law of cell(1)
@@ -317,19 +334,39 @@ class TestIndicators:
         assert int(viol.sum()) == 0
 
     def test_indicator_pair_matches_experiment_bits(self):
-        # on one stream, the public per-path API and the streamed engine produce identical bits
-        for measure, body in ((XY, K_UNIT), (isotropic(), centered_square(math.pi / 4.0))):
-            path = sample_gamma_path(measure, 2.0, 6, substream(61, 5))
-            iK, iaK = indicators_pair(path, body)
-            assert isinstance(iK, IndicatorSequence)
-            engine = make_path_engine(measure, 2.0, (body, scale(body, 2.0)))
-            rng = substream(61, 5)
-            state, first = engine.path_start(rng)
-            rest, _ = engine.path_steps(state, rng, 6)
-            bits = np.vstack([first, rest]).astype(np.uint8)
-            assert np.array_equal(iK.bits, bits[:, 0])
-            assert np.array_equal(iaK.bits, bits[:, 1])
-            assert np.all(iaK.bits <= iK.bits)
+        # axis measures: on one stream, the public per-path API and the streamed engine produce identical bits
+        path = sample_gamma_path(XY, 2.0, 6, substream(61, 5))
+        iK, iaK = indicators_pair(path, K_UNIT)
+        assert isinstance(iK, IndicatorSequence)
+        engine = make_path_engine(XY, 2.0, (K_UNIT, scale(K_UNIT, 2.0)))
+        rng = substream(61, 5)
+        state, first = engine.path_start(rng)
+        rest, _ = engine.path_steps(state, rng, 6)
+        bits = np.vstack([first, rest]).astype(np.uint8)
+        assert np.array_equal(iK.bits, bits[:, 0])
+        assert np.array_equal(iaK.bits, bits[:, 1])
+        assert np.all(iaK.bits <= iK.bits)
+
+    def test_indicator_pair_matches_experiment_bits_in_law(self):
+        # general measures: the capped gauges draw other lines than the polygons of
+        # sample_gamma_path, so the two agree in law; 14 bits per path, Bonferroni at 0.01
+        measure, body = isotropic(), centered_square(math.pi / 4.0)
+        engine = make_path_engine(measure, 2.0, (body, scale(body, 2.0)))
+
+        def polygon_bits(rng, m):
+            out = []
+            for _ in range(m):
+                iK, iaK = indicators_pair(sample_gamma_path(measure, 2.0, 6, rng), body)
+                assert np.all(iaK.bits <= iK.bits)
+                out.append(np.concatenate([iK.bits, iaK.bits]))
+            return np.array(out)
+
+        def engine_bits(rng, m):
+            return engine.run_block(rng, m, 6).transpose(0, 2, 1).reshape(m, 14)
+
+        names = [f"{b}[{n}]" for b in ("K", "aK") for n in range(7)]
+        res = two_sample_containment_test(polygon_bits, engine_bits, names, 2000, seed=61, body_names=names)
+        assert res.passed, res.to_dict()
 
     @pytest.mark.parametrize("name", list(GENERAL))
     def test_gauge_engine_matches_clipping_oracle_bit_for_bit(self, name):
@@ -337,7 +374,7 @@ class TestIndicators:
         for family, bodies in BODY_FAMILIES.items():
             for a in (2.0, 3.5):
                 engine = _PolyPathEngine(measure, a, bodies)
-                oracle = ClippedPolygonPaths(_PolyZeroCellSampler(measure), a, bodies)
+                oracle = ClippedPolygonPaths(_PolyZeroCellSampler(measure), a, bodies, capped=True)
                 for m in (1, 7, 30):
                     for n_steps in (0, 1, 6):
                         key = 100 * n_steps + 10 * len(family) + int(a)
@@ -350,7 +387,7 @@ class TestIndicators:
     def test_streamed_gauge_path_matches_oracle_in_any_chunking(self, name):
         bodies = BODY_FAMILIES["hexagon"] + BODY_FAMILIES["off-origin"]
         engine = _PolyPathEngine(GENERAL[name], 2.0, bodies)
-        oracle = ClippedPolygonPaths(_PolyZeroCellSampler(GENERAL[name]), 2.0, bodies)
+        oracle = ClippedPolygonPaths(_PolyZeroCellSampler(GENERAL[name]), 2.0, bodies, capped=True)
         for seed in range(3):
             runs = []
             for eng, chunks in ((oracle, (201,)), (engine, (201,)), (engine, (0, 1, 6, 50, 144, 0))):
@@ -364,6 +401,35 @@ class TestIndicators:
                 runs.append((np.vstack(rows).astype(np.uint8), repr(rng.bit_generator.state)))
             assert runs[0][0].shape == (202, len(bodies))
             assert all(np.array_equal(bits, runs[0][0]) and st == runs[0][1] for bits, st in runs)
+
+    @pytest.mark.parametrize("name", ["isotropic", "three-atoms"])
+    def test_capped_engine_joint_bits_match_independent_routes(self, name):
+        # the joint bits of K and aK at steps 0-3 as one of 3^4 patterns per path (aK inside
+        # forces K inside), against the exact law, which draws no line, and against the
+        # doubling route, which shares no line draw with the cap; Bonferroni at 0.01
+        measure = GENERAL[name]
+        bodies = (K_UNIT, scale(K_UNIT, 2.0))
+        engine = _PolyPathEngine(measure, 2.0, bodies)
+        doubling = ClippedPolygonPaths(_PolyZeroCellSampler(measure), 2.0, bodies)
+        lam = lambda_of(measure, K_UNIT)
+
+        def patterns(run):
+            def block(rng, m):
+                bits = run(rng, m).astype(int)
+                assert np.all(bits[:, :, 1] <= bits[:, :, 0])
+                code = bits.sum(axis=2) @ 3 ** np.arange(4)
+                return code[:, None] == np.arange(81)
+
+            return block
+
+        gauge = patterns(lambda rng, m: engine.run_block(rng, m, 3))
+        others = (
+            (patterns(lambda rng, m: law_paths(lam, 2.0, m, 3, rng)), 20_000, 75),
+            (patterns(lambda rng, m: doubling.run_block(rng, m, 3)), 5_000, 76),
+        )
+        for other, n, seed in others:
+            res = two_sample_containment_test(gauge, other, range(81), n, seed)
+            assert res.passed, res.to_dict()
 
     def test_conditional_scaled_containment(self):
         # P(cell contains aK | cell contains K) = exp(-(a-1) Lambda([K]))
@@ -389,14 +455,15 @@ class TestIndicators:
 
     @pytest.mark.parametrize("name", ["isotropic", "three-atoms"])
     def test_pht_events_match_clipped_cell_containment(self, name):
-        # the Poisson side of the containment comparisons: gauges of 1/prescale bodies
+        # the Poisson side of the containment comparisons: gauges of 1/prescale bodies, capped at 1
         bodies = (K_UNIT, HEXAGON) + BODY_FAMILIES["off-origin"]
         for t, prescale in ((1.0, 1.0), (0.5, 0.5), (2.0, 2.0)):
             sampler = _PolyZeroCellSampler(GENERAL[name], t)
             scaled = [scale(b, 1.0 / prescale).as_tuples() for b in bodies]
+            reach = max(math.sqrt(max(x * x + y * y for x, y in verts)) for verts in scaled)
             rng, want_rng = substream(74, int(4 * t)), substream(74, int(4 * t))
             got = pht_zero_cell_events(GENERAL[name], bodies, t, prescale)(rng, 300)
-            cells = [clip_every_round_zero_cell(sampler, want_rng) for _ in range(300)]
+            cells = [capped_zero_cell(sampler, want_rng, reach, 1.0) for _ in range(300)]
             want = np.array([[_contains_tuples(c, b) for b in scaled] for c in cells])
             assert np.array_equal(got, want) and same_state(rng, want_rng)
             assert 0 < int(got.sum()) < got.size
