@@ -5,7 +5,8 @@ intersection of origin-side half-planes of a Poisson line population. A cell
 polygon takes its lines by adaptive radius doubling: the population hitting
 the ball B_R first, then fresh annulus populations (hitting B_2R but not B_R)
 until the cell provably lies strictly inside the current ball. Path bits need
-no polygon: a body's gauge capped at c sees only the lines hitting B_{c*R}.
+no polygon: a body's gauge in s * cell, capped at 1, sees only the lines
+hitting B_{R/s}.
 
 The renormalized path with base a > 1 starts from a stationary zero cell and
 iterates cell_{n+1} = (a * cell_n) intersect (a/(a-1) * fresh zero cell).
@@ -176,26 +177,27 @@ class _PolyZeroCellSampler:
                 raise SimulationAbort("zero cell collapsed below the area tolerance")
         return verts
 
-    def gauges(self, rng, bodies, cap: float) -> list:
-        """Per body of `gauge_bodies`, the largest c <= cap with c * body inside the zero cell.
+    def gauges(self, rng, bodies, scale: float) -> list:
+        """Per body of `gauge_bodies`, the largest c <= 1 with c * body inside scale * zero cell.
 
-        A line at distance d cuts c * body exactly when c > d / h, h the body's support
-        in the line's normal, and no line with h <= 0 cuts any c * body with c >= 0, so
-        the body need not contain the origin. As h is at most the largest vertex norm R,
-        only lines hitting the ball of radius cap * R can bring c below cap: by Crofton
-        those hitting radius rho = cap * max R are one Poisson draw of mass 2 * rho * kt.
+        A line at distance d cuts c * body out of scale * cell exactly when c > scale * d / h,
+        h the body's support in the line's normal, and no line with h <= 0 cuts any c * body
+        with c >= 0, so the body need not contain the origin. As h is at most the largest
+        vertex norm R, only lines hitting the ball of radius R / scale can bring c below 1:
+        by Crofton those hitting radius rho = max R / scale are one Poisson draw of mass
+        2 * rho * kt. A body no line cuts gets exactly 1.0.
         """
-        rho = cap * max(r for _, r in bodies)
+        rho = max(r for _, r in bodies) / scale
         count = int(rng.poisson(self.time * 2.0 * rho * self.kt))
         phi = _sample_directions(self.kappa, rng, count).tolist()
-        lines = []  # (distance, unit normal from the origin towards the line)
+        lines = []  # (scale * distance, unit normal from the origin towards the line)
         for ph, u in zip(phi, rng.random(count).tolist()):
             off = rho * (2.0 * u - 1.0)
             c, s = math.cos(ph), math.sin(ph)
-            lines.append((off, c, s) if off > 0.0 else (-off, -c, -s))
+            lines.append((scale * off, c, s) if off > 0.0 else (-scale * off, -c, -s))
         out = []
         for verts, r in bodies:
-            g = cap
+            g = 1.0
             for d, c, s in lines:
                 if d < g * r:
                     h = max([c * x + s * y for x, y in verts])
@@ -355,8 +357,10 @@ class _PolyPathEngine:
     """General measures: a run of cells is a list of ccw vertex tuple lists.
 
     Bits come from per-body gauges capped at 1, the streamed state: a * cell ∩ f * fresh
-    has gauge min(a * gauge, f * fresh gauge), and contains the body when it is >= 1, so
-    min(a * D, f * g, 1) with the fresh gauge g capped at 1/f gives the same bits.
+    has gauge min(a * gauge, gauge of f * fresh), and contains the body when it is >= 1,
+    so min(a * D, g) with g the capped gauge of f * fresh gives the same bits. The fresh
+    gauge is scaled by f inside `gauges`, so an uncut body gets exactly 1.0: a cap of 1/f
+    multiplied back by f can round below 1 and clear every later bit.
     """
 
     def __init__(self, measure: LineMeasure, a: float, bodies, time: float = 1.0):
@@ -390,8 +394,8 @@ class _PolyPathEngine:
         rows = [g]
         a, f = self.a, self.f
         for _ in range(n):
-            fresh = self.sampler.gauges(rng, self.bodies, 1.0 / f)
-            rows.append([min(a * x, f * y, 1.0) for x, y in zip(rows[-1], fresh)])
+            fresh = self.sampler.gauges(rng, self.bodies, f)
+            rows.append([min(a * x, y) for x, y in zip(rows[-1], fresh)])
         return np.array(rows).reshape(n + 1, len(self.bodies))
 
     def run_block(self, rng, m: int, n_steps: int) -> np.ndarray:

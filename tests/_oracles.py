@@ -270,15 +270,15 @@ def clip_every_round_zero_cell(sampler, rng):
             )
 
 
-def capped_zero_cell(sampler, rng, reach: float, cap: float):
-    """The box of radius rho = cap * reach, clipped by the zero cell's lines that hit the ball B_rho.
+def capped_zero_cell(sampler, rng, reach: float, scale: float):
+    """The box of radius rho = reach / scale, clipped by the zero cell's lines that hit the ball B_rho.
 
-    Same draws, in the same order, as `_PolyZeroCellSampler.gauges(rng, bodies, cap)` for
-    bodies whose largest vertex norm is `reach`. No other line meets c * body for c <= cap,
-    which lies in B_rho, so such a c * body lies in this polygon exactly when it lies in the
-    zero cell.
+    Same draws, in the same order, as `_PolyZeroCellSampler.gauges(rng, bodies, scale)` for
+    bodies whose largest vertex norm is `reach`. No other line meets c * body for
+    c <= 1 / scale, which lies in B_rho, so such a c * body lies in this polygon exactly
+    when it lies in the zero cell.
     """
-    rho = cap * reach
+    rho = reach / scale
     count = int(rng.poisson(sampler.time * 2.0 * rho * sampler.kt))
     phi = _sample_directions(sampler.kappa, rng, count)
     offset = rho * (2.0 * rng.random(count) - 1.0)
@@ -323,7 +323,7 @@ class ClippedPolygonPaths:
     Each cell is a * cell ∩ f * fresh, clipped vertex by vertex, and its bits are
     closed containment within EPS_GEOM; the streamed state is the last cell. Its
     zero cells come from `clip_every_round_zero_cell` (the doubling route), or with
-    `capped` from `capped_zero_cell` at cap 1 for the start and 1/f for a fresh cell:
+    `capped` from `capped_zero_cell` at scale 1 for the start and f for a fresh cell:
     then it makes the same draws, in the same order, as `_PolyPathEngine`, whose
     bits come from capped gauges.
     """
@@ -336,15 +336,15 @@ class ClippedPolygonPaths:
         self.capped = capped
         self.reach = max(math.sqrt(max(x * x + y * y for x, y in verts)) for verts in self.bodies)
 
-    def _cell(self, rng, cap: float):
+    def _cell(self, rng, scale: float):
         if self.capped:
-            return capped_zero_cell(self.sampler, rng, self.reach, cap)
+            return capped_zero_cell(self.sampler, rng, self.reach, scale)
         return clip_every_round_zero_cell(self.sampler, rng)
 
     def _walk(self, verts, rng, n: int):
         a, f = self.a, self.f
         for _ in range(n):
-            fresh = self._cell(rng, 1.0 / f)
+            fresh = self._cell(rng, f)
             verts = _intersect_tuples([(a * x, a * y) for x, y in verts], [(f * x, f * y) for x, y in fresh])
             if verts is None:
                 raise SimulationAbort("path cell collapsed below the area tolerance")

@@ -371,13 +371,16 @@ class TestIndicators:
     @pytest.mark.parametrize("name", list(GENERAL))
     def test_gauge_engine_matches_clipping_oracle_bit_for_bit(self, name):
         measure = GENERAL[name]
+        # at a = 19/9, f = a / (a - 1) times its reciprocal rounds below 1
+        f = (19 / 9) / (19 / 9 - 1.0)
+        assert f * (1.0 / f) < 1.0
         for family, bodies in BODY_FAMILIES.items():
-            for a in (2.0, 3.5):
+            for a, salt in ((2.0, 2), (3.5, 3), (19 / 9, 7)):
                 engine = _PolyPathEngine(measure, a, bodies)
                 oracle = ClippedPolygonPaths(_PolyZeroCellSampler(measure), a, bodies, capped=True)
                 for m in (1, 7, 30):
                     for n_steps in (0, 1, 6):
-                        key = 100 * n_steps + 10 * len(family) + int(a)
+                        key = 100 * n_steps + 10 * len(family) + salt
                         rng, want_rng = substream(m, key), substream(m, key)
                         got = engine.run_block(rng, m, n_steps)
                         assert np.array_equal(got, oracle.run_block(want_rng, m, n_steps))
