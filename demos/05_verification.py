@@ -27,9 +27,9 @@ runs = [
     # the rarest conditioning pattern needs >= 1000 events, hence the larger run
     ("conditional", lambda: verify_conditional(xy, k, replications=100_000, seed=4)),
     ("ergodic", lambda: verify_ergodic(xy, k, path_length=20_000, seed=5)),
-    ("scaling", lambda: verify_scaling(xy, times=(0.5, 2.0), n=10_000, seed=6)),
-    ("stit-vs-pht", lambda: verify_stit_vs_pht(xy, n=3_000, seed=7)),
-    ("nesting-law", lambda: verify_nesting_law(xy, k, n=10_000, seed=8)),
+    ("scaling", lambda: verify_scaling(xy, times=(0.5, 2.0), replications=10_000, seed=6)),
+    ("stit-vs-pht", lambda: verify_stit_vs_pht(xy, replications=3_000, seed=7)),
+    ("nesting-law", lambda: verify_nesting_law(xy, k, replications=10_000, seed=8)),
 ]
 
 for name, fn in runs:

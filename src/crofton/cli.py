@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -38,6 +39,8 @@ from .zero_cell import (
 )
 
 _JSON_KW = {"sort_keys": True, "indent": 1}
+# read once at import: a traced benchmark run later rebinds targets to (*args, **kwargs) wrappers
+_TARGET_PARAMS = {name: frozenset(inspect.signature(fn).parameters) for name, fn in VERIFY_TARGETS.items()}
 
 
 def _meta(command: str, cfg: Config) -> dict:
@@ -151,10 +154,14 @@ def cmd_sample(args) -> int:
 
 
 def _parse_range(text: str):
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return tuple(range(int(lo), int(hi) + 1))
-    return (int(text),)
+    lo, sep, hi = text.partition("..")
+    try:
+        ns = tuple(range(int(lo), int(hi if sep else lo) + 1))
+    except ValueError:
+        ns = ()
+    if not ns:
+        raise ConfigError(f"--n {text!r} must be an index N or a nonempty range LO..HI")
+    return ns
 
 
 def cmd_verify(args) -> int:
@@ -177,29 +184,21 @@ def cmd_verify(args) -> int:
     workers = cfg.effective_workers()
 
     target = args.target
-    fn = VERIFY_TARGETS[target]
-    kwargs: dict = {"seed": seed}
-    if target in ("q", "p", "renewal", "conditional", "ergodic", "nesting-law"):
-        kwargs["body"] = body
-    # replications and path_length come from the file or a flag; None keeps the target's default
-    if target in ("q", "p", "renewal", "conditional"):
-        kwargs.update(measure=measure, a=cfg.a, workers=workers)
-        if cfg.replications is not None:
-            kwargs["replications"] = cfg.replications
-    if target == "q" and args.n is not None:
-        kwargs["ns"] = _parse_range(args.n)
-    if target == "p" and args.max_gap is not None:
-        kwargs["max_gap"] = args.max_gap
-    if target == "ergodic":
-        kwargs.update(measure=measure, a=cfg.a)
-    if target in ("p", "renewal", "ergodic") and cfg.path_length is not None:
-        kwargs["path_length"] = cfg.path_length
-    if target in ("scaling", "stit-vs-pht", "nesting-law"):
-        kwargs["measure"] = measure
-        if cfg.replications is not None:
-            kwargs["n"] = cfg.replications
-
-    report = fn(**kwargs)
+    values = {
+        "seed": seed,
+        "measure": measure,
+        "body": body,
+        "a": cfg.a,
+        "workers": workers,
+        # replications and path_length come from the file or a flag; None keeps the target's default
+        "replications": cfg.replications,
+        "path_length": cfg.path_length,
+        "ns": None if args.n is None else _parse_range(args.n),
+        "max_gap": args.max_gap,
+    }
+    # a value the target does not declare is dropped, not refused: one set of flags serves every target
+    params = _TARGET_PARAMS[target]
+    report = VERIFY_TARGETS[target](**{k: v for k, v in values.items() if v is not None and k in params})
     doc = {"meta": _meta(f"verify {target}", cfg), "report": report.to_dict()}
     _emit(json.dumps(doc, **_JSON_KW), cfg.out)
     sys.stdout.write(f"verify {target}: {'PASS' if report.passed else 'FAIL'}\n")
@@ -238,6 +237,8 @@ def cmd_analytic(args) -> int:
         _print_values([math.exp(params.lambda_k)], ["rho"], args.format, out)
         return 0
     if args.target == "delay":
+        if args.n < 0:
+            raise ConfigError(f"--n {args.n} must be >= 0")
         law = stationary_delay(p_vector(params))
         k, n_terms = args.n, len(law.forward)
         if k >= n_terms:

@@ -326,7 +326,7 @@ def verify_ergodic(
 def verify_scaling(
     measure: LineMeasure,
     times=(0.5, 2.0),
-    n: int = 40_000,
+    replications: int = 40_000,
     seed: int = 23,
 ) -> VerifyReport:
     """Scaled zero cells: t * cell(t) must match cell(1) on the containment functional."""
@@ -341,7 +341,7 @@ def verify_scaling(
             gen_t = pht_zero_cell_events(measure, blist, time=t, prescale=t)
             gen_1 = pht_zero_cell_events(measure, blist, time=1.0)
             res = two_sample_containment_test(
-                gen_t, gen_1, blist, n, s + 101 * i, body_names=names
+                gen_t, gen_1, blist, replications, s + 101 * i, body_names=names
             )
             evidence[f"t={t}"] = res.to_dict()
             ok = ok and res.passed
@@ -352,7 +352,7 @@ def verify_scaling(
 
 def verify_stit_vs_pht(
     measure: LineMeasure,
-    n: int = 30_000,
+    replications: int = 30_000,
     window_mass: float = 20.0,
     seed: int = 29,
 ) -> VerifyReport:
@@ -366,7 +366,7 @@ def verify_stit_vs_pht(
     def attempt(s):
         gen_stit = stit_zero_cell_events(measure, window, 1.0, blist)
         gen_pht = pht_zero_cell_events(measure, blist)
-        res = two_sample_containment_test(gen_stit, gen_pht, blist, n, s, body_names=names)
+        res = two_sample_containment_test(gen_stit, gen_pht, blist, replications, s, body_names=names)
         return res.passed, res.to_dict()
 
     return _with_retry("stit-vs-pht", attempt, seed)
@@ -377,7 +377,7 @@ def verify_nesting_law(
     body: ConvexPolygon,
     t: float = 0.5,
     s_time: float = 0.5,
-    n: int = 100_000,
+    replications: int = 100_000,
     seed: int = 31,
 ) -> VerifyReport:
     """Refinement law: a time-(t+s) run matches a time-t run refined by time-s runs."""
@@ -388,7 +388,7 @@ def verify_nesting_law(
         gen_direct = stit_zero_cell_events(measure, window, t + s_time, bodies)
         gen_nested = nested_stit_events(measure, window, t, s_time, bodies)
         res = two_sample_containment_test(
-            gen_direct, gen_nested, bodies, n, s, body_names=("body",)
+            gen_direct, gen_nested, bodies, replications, s, body_names=("body",)
         )
         return res.passed, res.to_dict()
 

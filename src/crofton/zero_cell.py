@@ -2,14 +2,15 @@
 
 The zero cell at time t is the cell containing the origin, realized as the
 intersection of origin-side half-planes of a Poisson line population. A cell
-polygon takes its lines by adaptive radius doubling: the population hitting
-the ball B_R first, then fresh annulus populations (hitting B_2R but not B_R)
-until the cell provably lies strictly inside the current ball. Path bits need
-no polygon: a body's gauge in s * cell, capped at 1, sees only the lines
-hitting B_{R/s}.
+takes its lines by adaptive radius doubling: the population hitting the ball
+B_R first, then fresh annulus populations (hitting B_2R but not B_R) until the
+box B_R clipped by every line so far lies strictly inside the current ball.
 
 The renormalized path with base a > 1 starts from a stationary zero cell and
 iterates cell_{n+1} = (a * cell_n) intersect (a/(a-1) * fresh zero cell).
+Path engines make bits only: axis cells are rectangle bound arrays, and other
+measures use a body's gauge in s * cell, capped at 1, which sees only the lines
+hitting B_{R/s}. Polygons serve output only (`sample_zero_cell`, `sample_gamma_path`).
 """
 from __future__ import annotations
 
@@ -25,7 +26,6 @@ from .geometry import (
     ConvexPolygon,
     _clip_cell,
     _intersect_tuples,
-    _rect_to_polygon,
     box_of,
     contains,
     contains_origin_interior,
@@ -105,34 +105,6 @@ class _RectBatchZeroCells:
 # convex polygons, held as ccw vertex tuple lists (every measure)
 
 
-def _bounded(lines, rr: float) -> bool:
-    """True when the cell cut out by the (phi, offset) lines lies inside the open ball B_rr.
-
-    A line at distance d < rr with outward normal angle th stops the rays within
-    acos(d/rr) of th before radius rr: the cell lies inside the ball exactly when
-    these open arcs, each shrunk by 1e-12 so that no radius tie counts, cover the circle.
-    """
-    arcs = []
-    for ph, off in lines:
-        if off > 0.0:
-            d, th = off, ph
-        else:
-            d, th = -off, ph + math.pi
-        if d < rr:
-            w = math.acos(d / rr) - 1e-12
-            if w > 0.0:
-                s = th - w if th >= w else th - w + math.tau
-                arcs.append((s, s + 2.0 * w))
-    # sweep from angle 0, which only an arc reaching past tau covers
-    reach = max((e for _, e in arcs), default=0.0) - math.tau
-    for s, e in sorted(arcs):
-        if s >= reach:
-            return False
-        if e > reach:
-            reach = e
-    return reach > 0.0
-
-
 def gauge_bodies(bodies) -> list:
     """(ccw vertex tuple list, largest vertex norm) per body: the form `gauges` takes."""
     tuples = [body.as_tuples() for body in bodies]
@@ -149,8 +121,9 @@ class _PolyZeroCellSampler:
         self.r_max = self.r0 * r_max_factor
 
     def sample(self, rng):
-        """Vertex tuple list of the zero cell: lines by doubling rounds until they bound it inside B_r."""
-        lines: list[tuple[float, float]] = []
+        """Vertex tuple list of the zero cell: B_r clipped by every line so far, doubling r
+        until all of its vertices lie strictly inside B_r, when no further line can cut it."""
+        lines = []  # (unit normal from the origin towards the line, distance)
         r_lo, r = 0.0, self.r0
         while True:
             # lines hitting B_r, not B_r_lo: offset measure 2*(r - r_lo) at every phi, so phi ~ kappa
@@ -160,22 +133,22 @@ class _PolyZeroCellSampler:
             neg = rng.random(count) < 0.5
             # a zero-magnitude draw would put a line through the origin; measure-zero event
             mag[mag == 0.0] = 0.5 * (r_lo + r) if r_lo > 0.0 else 0.5 * r
-            lines.extend(zip(phi.tolist(), np.where(neg, -mag, mag).tolist()))
-            if _bounded(lines, r - EPS_GEOM):
-                break
+            for ph, off in zip(phi.tolist(), np.where(neg, -mag, mag).tolist()):
+                c, s = math.cos(ph), math.sin(ph)
+                lines.append((c, s, off) if off > 0.0 else (-c, -s, -off))
+            verts = [(-r, -r), (r, -r), (r, r), (-r, r)]
+            for c, s, d in lines:
+                verts = _clip_cell(verts, c, s, d)
+                if verts is None:
+                    raise SimulationAbort("zero cell collapsed below the area tolerance")
+            if all(x * x + y * y < (r - EPS_GEOM) ** 2 for x, y in verts):
+                return verts
             r_lo, r = r, 2.0 * r
             if r > self.r_max:
                 raise SimulationAbort(
                     f"zero cell still unbounded at radius {r:.3e}; "
                     "the directional measure may not span the plane"
                 )
-        verts = [(-r, -r), (r, -r), (r, r), (-r, r)]
-        for ph, off in lines:
-            c, s = math.cos(ph), math.sin(ph)
-            verts = _clip_cell(verts, c, s, off) if off > 0.0 else _clip_cell(verts, -c, -s, -off)
-            if verts is None:
-                raise SimulationAbort("zero cell collapsed below the area tolerance")
-        return verts
 
     def gauges(self, rng, bodies, scale: float) -> list:
         """Per body of `gauge_bodies`, the largest c <= 1 with c * body inside scale * zero cell.
@@ -207,6 +180,15 @@ class _PolyZeroCellSampler:
         return out
 
 
+def _zero_cell_tuples(measure: LineMeasure, rng, time: float = 1.0, r_max_factor: float = DEFAULT_R_MAX_FACTOR):
+    """One zero cell as a ccw vertex tuple list, from the sampler of the measure's representation."""
+    if axis_weights(measure.kappa) is not None:
+        rect = _RectBatchZeroCells(measure, time, r_max_factor).sample(rng, 1)
+        x0, x1, y0, y1 = (float(v[0]) for v in rect)
+        return [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
+    return _PolyZeroCellSampler(measure, time, r_max_factor).sample(rng)
+
+
 def sample_zero_cell(
     measure: LineMeasure,
     rng,
@@ -219,10 +201,7 @@ def sample_zero_cell(
     any convex K with the origin in its interior.
     """
     _check_time(time)
-    if axis_weights(measure.kappa) is not None:
-        rect = _RectBatchZeroCells(measure, time, r_max_factor).sample(rng, 1)
-        return _rect_to_polygon([float(v[0]) for v in rect])
-    return ConvexPolygon._trusted(_PolyZeroCellSampler(measure, time, r_max_factor).sample(rng))
+    return ConvexPolygon._trusted(_zero_cell_tuples(measure, rng, time, r_max_factor))
 
 
 # ---------------------------------------------------------------------------
@@ -264,14 +243,20 @@ def sample_gamma_path(measure: LineMeasure, a: float, n_steps: int, rng) -> Zero
     previous cell intersected with an independent (a/(a-1))-scaled zero cell,
     so every marginal keeps the stationary containment law.
     """
-    if a <= 1.0:
-        raise ValueError(f"renormalization base must exceed 1, got {a}")
+    if not 1.0 < a < math.inf:
+        raise ValueError(f"renormalization base must be finite and exceed 1, got {a}")
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
-    engine = make_path_engine(measure, a, ())
-    start = engine._start(rng)
-    cells = engine._polygons(start) + engine._polygons(engine._walk(start, rng, n_steps))
-    return ZeroCellPath(a, tuple(cells))
+    f = a / (a - 1.0)
+    # raw vertex lists: a polygon's canonical rotation would change the clip order
+    cells = [_zero_cell_tuples(measure, rng)]
+    for _ in range(n_steps):
+        fresh = _zero_cell_tuples(measure, rng)
+        verts = _intersect_tuples([(a * x, a * y) for x, y in cells[-1]], [(f * x, f * y) for x, y in fresh])
+        if verts is None:
+            raise SimulationAbort("path cell collapsed below the area tolerance")
+        cells.append(verts)
+    return ZeroCellPath(a, tuple(ConvexPolygon._trusted(verts) for verts in cells))
 
 
 def indicators(path: ZeroCellPath, body: ConvexPolygon) -> IndicatorSequence:
@@ -292,8 +277,8 @@ def indicators_pair(path: ZeroCellPath, body: ConvexPolygon, a: float | None = N
 # ---------------------------------------------------------------------------
 # indicator-path engines (consumed by the Monte Carlo harness)
 #
-# Each engine holds path cells in its representation (a run of cells is `cells`),
-# and `_walk` is its one renormalized step; the polygon engine's bits come from gauges.
+# Engines make bits only: the rectangle engine steps axis cells held as bound arrays
+# (`_walk` is its renormalized step), the polygon engine steps capped gauges.
 
 
 class _RectPathEngine:
@@ -304,9 +289,6 @@ class _RectPathEngine:
         self.a = a
         self.f = a / (a - 1.0)
         self.boxes = [box_of(b.vertices) for b in bodies]
-
-    def _start(self, rng) -> np.ndarray:
-        return np.array(self.batch.sample(rng, 1))
 
     def _walk(self, state, rng, n: int) -> np.ndarray:
         """The n path cells after the last cell of `state`; fresh cells drawn in one batch."""
@@ -325,9 +307,6 @@ class _RectPathEngine:
     def _contain(self, cells) -> np.ndarray:
         return rects_contain_boxes(*cells, self.boxes)
 
-    def _polygons(self, cells) -> list:
-        return [_rect_to_polygon(c) for c in cells.T.tolist()]
-
     def run_block(self, rng, m: int, n_steps: int) -> np.ndarray:
         """uint8 array (m, n_steps + 1, n_bodies) of containment bits; the m paths step together."""
         bits = np.empty((m, n_steps + 1, len(self.boxes)), dtype=np.uint8)
@@ -344,7 +323,7 @@ class _RectPathEngine:
 
     def path_start(self, rng):
         """Initial stationary cell for a streamed single path: (state, bits row)."""
-        state = self._start(rng)
+        state = np.array(self.batch.sample(rng, 1))
         return state, self._contain(state)[0]
 
     def path_steps(self, state, rng, n_steps: int):
@@ -354,13 +333,12 @@ class _RectPathEngine:
 
 
 class _PolyPathEngine:
-    """General measures: a run of cells is a list of ccw vertex tuple lists.
+    """General measures: bits come from per-body gauges capped at 1, the streamed state.
 
-    Bits come from per-body gauges capped at 1, the streamed state: a * cell ∩ f * fresh
-    has gauge min(a * gauge, gauge of f * fresh), and contains the body when it is >= 1,
-    so min(a * D, g) with g the capped gauge of f * fresh gives the same bits. The fresh
-    gauge is scaled by f inside `gauges`, so an uncut body gets exactly 1.0: a cap of 1/f
-    multiplied back by f can round below 1 and clear every later bit.
+    a * cell ∩ f * fresh has gauge min(a * gauge, gauge of f * fresh) and contains the body
+    when it is >= 1, so min(a * D, g) with g the capped gauge of f * fresh gives the same
+    bits. The fresh gauge is scaled by f inside `gauges`, so an uncut body gets exactly 1.0:
+    a cap of 1/f multiplied back by f can round below 1 and clear every later bit.
     """
 
     def __init__(self, measure: LineMeasure, a: float, bodies, time: float = 1.0):
@@ -368,26 +346,6 @@ class _PolyPathEngine:
         self.a = a
         self.f = a / (a - 1.0)
         self.bodies = gauge_bodies(bodies)
-
-    def _start(self, rng) -> list:
-        return [self.sampler.sample(rng)]
-
-    def _walk(self, state, rng, n: int):
-        """Yield the n path cells after the last cell of `state`, one at a time."""
-        verts = state[-1]
-        a, f = self.a, self.f
-        for _ in range(n):
-            fresh = self.sampler.sample(rng)
-            verts = _intersect_tuples(
-                [(a * x, a * y) for x, y in verts],
-                [(f * x, f * y) for x, y in fresh],
-            )
-            if verts is None:
-                raise SimulationAbort("path cell collapsed below the area tolerance")
-            yield verts
-
-    def _polygons(self, cells) -> list:
-        return [ConvexPolygon._trusted(verts) for verts in cells]
 
     def _gauge_rows(self, g, rng, n: int) -> np.ndarray:
         """(n + 1, n_bodies) capped gauges: row 0 is g, then the n path cells after it."""

@@ -8,8 +8,9 @@ crossing counting for arrangement cell counts, a four-array copy of the
 axis zero-cell sampler that pins the batch sampler's output bit for bit, the
 clip-every-round polygon sampler, which pins the polygon sampler bit for bit,
 a clip-and-contain path engine, which on the capped gauges' own lines pins the
-gauge path bits bit for bit, and the exact law of the path bits, which draws
-no line at all.
+gauge path bits bit for bit and on the doubling route pins the cells of
+`sample_gamma_path` vertex for vertex, and the exact law of the path bits,
+which draws no line at all.
 """
 from __future__ import annotations
 
@@ -236,10 +237,11 @@ def four_scatter_rect_zero_cells(batch, rng, m: int, stats: dict):
 def clip_every_round_zero_cell(sampler, rng):
     """The polygon sampler that clips the box B_r by all lines in every doubling round.
 
-    Same draws, in the same order, as `_PolyZeroCellSampler.sample`, which clips
-    only once the arc sweep finds the cell inside the ball; it stops when every
-    clipped vertex lies inside the ball, so the vertex lists agree bit for bit but
-    at radius ties of about 1e-12, where the two stopping rules may differ.
+    Same draws, in the same order, and the same stopping rule as
+    `_PolyZeroCellSampler.sample`: stop once every clipped vertex lies strictly
+    inside the ball of radius r - EPS_GEOM. The sampler must return the same
+    vertex lists bit for bit and leave the generator in the same state, so a
+    change to its draws, its clip order or its stopping radius shows here.
     """
     lines = []
     r_lo, r = 0.0, sampler.r0
@@ -322,10 +324,11 @@ class ClippedPolygonPaths:
 
     Each cell is a * cell ∩ f * fresh, clipped vertex by vertex, and its bits are
     closed containment within EPS_GEOM; the streamed state is the last cell. Its
-    zero cells come from `clip_every_round_zero_cell` (the doubling route), or with
-    `capped` from `capped_zero_cell` at scale 1 for the start and f for a fresh cell:
-    then it makes the same draws, in the same order, as `_PolyPathEngine`, whose
-    bits come from capped gauges.
+    zero cells come from `clip_every_round_zero_cell` (the doubling route): then
+    `cells` makes the same draws and clips, in the same order, as
+    `sample_gamma_path`. With `capped` they come from `capped_zero_cell` at scale 1
+    for the start and f for a fresh cell: then it makes the same draws, in the same
+    order, as `_PolyPathEngine`, whose bits come from capped gauges.
     """
 
     def __init__(self, sampler, a: float, bodies, capped: bool = False):
@@ -356,11 +359,15 @@ class ClippedPolygonPaths:
             row[:] = [_contains_tuples(verts, bv) for bv in self.bodies]
         return verts
 
+    def cells(self, rng, n_steps: int) -> list:
+        """Vertex lists of one path's cells 0..n_steps."""
+        start = self._cell(rng, 1.0)
+        return [start, *self._walk(start, rng, n_steps)]
+
     def run_block(self, rng, m: int, n_steps: int) -> np.ndarray:
         bits = np.empty((m, n_steps + 1, len(self.bodies)), dtype=np.uint8)
         for r in range(m):
-            start = self._cell(rng, 1.0)
-            self._contain([start, *self._walk(start, rng, n_steps)], bits[r])
+            self._contain(self.cells(rng, n_steps), bits[r])
         return bits
 
     def path_start(self, rng):

@@ -170,7 +170,7 @@ def test_criterion_07_non_thinning_strict_inequality(conditional_report):
 
 
 def test_criterion_08_scaling_law():
-    rep = verify_scaling(XY, times=(0.5, 2.0), n=40_000, seed=140)
+    rep = verify_scaling(XY, times=(0.5, 2.0), replications=40_000, seed=140)
     ev = rep.attempts[-1]["evidence"]
     pv = {k: min(v["pvalues"]) for k, v in ev.items()}
     announce(8, "scaling law", rep.passed, f"(min p-values {pv})")
@@ -178,7 +178,7 @@ def test_criterion_08_scaling_law():
 
 def test_criterion_09_stit_pht_zero_cell_identity():
     t0 = time.time()
-    rep = verify_stit_vs_pht(XY, n=30_000, window_mass=20.0, seed=145)
+    rep = verify_stit_vs_pht(XY, replications=30_000, window_mass=20.0, seed=145)
     ev = rep.attempts[-1]["evidence"]
     announce(
         9,
@@ -190,7 +190,7 @@ def test_criterion_09_stit_pht_zero_cell_identity():
 
 def test_criterion_10_nesting_law():
     t0 = time.time()
-    rep = verify_nesting_law(XY, K, t=0.5, s_time=0.5, n=100_000, seed=150)
+    rep = verify_nesting_law(XY, K, t=0.5, s_time=0.5, replications=100_000, seed=150)
     ev = rep.attempts[-1]["evidence"]
     announce(
         10,

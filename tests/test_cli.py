@@ -176,6 +176,7 @@ class TestAnalyticCommand:
             (["--lambda", "1", "--n", "400"], "truncation at N = 400"),
             # the truncation has doubled up to its cap and the tail is still too heavy
             (["--lambda", "8"], "largest truncation N = 51200"),
+            (["--lambda", "1", "--n", "-1"], "--n -1 must be >= 0"),
         ],
     )
     def test_delay_refusals_are_config_errors(self, argv, fragment, capsys):
@@ -294,7 +295,7 @@ class TestVerifyCommand:
 
     def test_config_values_reach_the_target(self, monkeypatch, tmp_path):
         import crofton.cli as cli_mod
-        from crofton.verify import VerifyReport
+        from crofton.verify import VERIFY_TARGETS, VerifyReport
 
         calls = []
 
@@ -302,13 +303,36 @@ class TestVerifyCommand:
             calls.append(kw)
             return VerifyReport("stub", True, [{"seed": kw["seed"], "passed": True, "evidence": []}])
 
-        for target in ("p", "nesting-law"):
+        for target in VERIFY_TARGETS:
             monkeypatch.setitem(cli_mod.VERIFY_TARGETS, target, stub)
+        monkeypatch.delenv("CROFTON_WORKERS", raising=False)
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"replications": 2000, "path_length": 80, "t": 3.0}))
         out = tmp_path / "r.json"
-        assert main(["verify", "p", "--seed", "1", "--config", str(cfg), "--out", str(out)]) == 0
-        assert calls[-1]["replications"] == 2000 and calls[-1]["path_length"] == 80
+        # every flag on every target: each gets the values its signature declares, and no other
+        flags = ["--seed", "1", "--config", str(cfg), "--measure", "isotropic", "--body", "square:2",
+                 "--a", "3", "--workers", "2", "--n", "1..2", "--max-gap", "4", "--out", str(out)]
+        paths = {"seed", "measure", "body", "a", "workers", "replications"}
+        expected = {
+            "q": paths | {"ns"},
+            "p": paths | {"path_length", "max_gap"},
+            "renewal": paths | {"path_length"},
+            "conditional": paths,
+            "ergodic": {"seed", "measure", "body", "a", "path_length"},
+            "scaling": {"seed", "measure", "replications"},
+            "stit-vs-pht": {"seed", "measure", "replications"},
+            # the config's t does not feed the nesting law's times
+            "nesting-law": {"seed", "measure", "body", "replications"},
+        }
+        assert set(expected) == set(VERIFY_TARGETS)
+        values = {"seed": 1, "measure": resolve_measure("isotropic"), "a": 3.0, "workers": 2,
+                  "replications": 2000, "path_length": 80, "ns": (1, 2), "max_gap": 4}
+        for target, names in expected.items():
+            assert main(["verify", target, *flags]) == 0
+            kw = calls[-1]
+            assert set(kw) == names, target
+            assert all(kw[k] == v for k, v in values.items() if k in names), target
+            assert "body" not in names or kw["body"].close_to(resolve_body("square:2"))
         meta = json.loads(out.read_text())["meta"]["config"]
         assert meta["replications"] == 2000 and meta["path_length"] == 80
         assert main(["verify", "p", "--seed", "1", "--config", str(cfg), "--reps", "300",
@@ -319,10 +343,12 @@ class TestVerifyCommand:
         assert "replications" not in calls[-1] and "path_length" not in calls[-1]
         meta = json.loads(out.read_text())["meta"]["config"]
         assert meta["replications"] is None and meta["path_length"] is None
-        # the config's t does not feed the nesting law's times
-        assert main(["verify", "nesting-law", "--seed", "1", "--config", str(cfg),
-                     "--out", str(out)]) == 0
-        assert calls[-1]["n"] == 2000 and "t" not in calls[-1] and "s_time" not in calls[-1]
+
+    @pytest.mark.parametrize("spec", ["3..1", "x", "1..x", "1.."])
+    def test_bad_index_range_is_a_config_error(self, spec, tmp_path, capsys):
+        assert main(["verify", "q", "--n", spec, "--seed", "1", "--out", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"--n {spec!r} must be an index N or a nonempty range LO..HI" in err
 
     def test_renewal_with_a_heavy_tail_is_refused(self, tmp_path, capsys):
         # lambda = 3: the gap mass beyond the censor (6.18) dwarfs any reachable stderr,

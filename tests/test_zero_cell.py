@@ -14,9 +14,7 @@ from _oracles import (
 )
 from crofton.errors import SimulationAbort
 from crofton.geometry import (
-    EPS_GEOM,
     ConvexPolygon,
-    _clip_cell,
     _contains_tuples,
     centered_square,
     contains,
@@ -29,7 +27,6 @@ from crofton.montecarlo import Experiment, ExperimentSpec, two_sample_containmen
 from crofton.rng import substream
 from crofton.verify import pht_zero_cell_events
 from crofton.zero_cell import (
-    _bounded,
     _PolyPathEngine,
     _PolyZeroCellSampler,
     _RectBatchZeroCells,
@@ -75,15 +72,6 @@ def one_direction_measure(phi: float) -> LineMeasure:
     kappa = object.__new__(Discrete)
     object.__setattr__(kappa, "atoms", ((phi, 1.0),))
     return LineMeasure(kappa)
-
-
-def clip_box(lines, r: float):
-    """The box [-r, r]^2 clipped by the origin side of every (phi, offset) line."""
-    verts = [(-r, -r), (r, -r), (r, r), (-r, r)]
-    for ph, off in lines:
-        c, s = math.cos(ph), math.sin(ph)
-        verts = _clip_cell(verts, c, s, off) if off > 0.0 else _clip_cell(verts, -c, -s, -off)
-    return verts
 
 
 def batch_contains(x0, x1, y0, y1, body):
@@ -187,35 +175,6 @@ class TestZeroCellSampler:
                 assert sampler.sample(rng) == clip_every_round_zero_cell(sampler, want_rng)
                 assert same_state(rng, want_rng)
 
-    def test_bounded_needs_lines_all_around(self):
-        assert not _bounded([], 5.0)
-        rng = np.random.default_rng(3)
-        for _ in range(200):
-            # every outward normal in the open left half-circle: the cell is open to the right
-            th = 0.5 * math.pi + 0.01 + rng.random(40) * (math.pi - 0.02)
-            d = 0.01 + rng.random(40)
-            lines = [(t, e) if t < math.pi else (t - math.pi, -e) for t, e in zip(th.tolist(), d.tolist())]
-            assert not _bounded(lines, 10.0)
-
-    def test_bounded_agrees_with_clipped_vertices_near_the_threshold(self):
-        rng = np.random.default_rng(4)
-        agree = bounded = 0
-        for _ in range(2000):
-            k = int(rng.integers(3, 31))
-            phi = rng.random(k) * math.pi
-            off = (0.05 + rng.random(k)) * np.where(rng.random(k) < 0.5, -1.0, 1.0)
-            lines = list(zip(phi.tolist(), off.tolist()))
-            cell = clip_box(lines, 1e6)
-            far = math.sqrt(max(x * x + y * y for x, y in cell))
-            for rr in (far * (1.0 - 1e-6), far * (1.0 + 1e-6), 0.5 * far, 2.0 * far):
-                r = rr + EPS_GEOM
-                verts = clip_box(lines, r)
-                want = all(x * x + y * y < rr * rr for x, y in verts)
-                got = _bounded(lines, rr)
-                agree += got == want
-                bounded += got
-        assert agree == 8000 and 0 < bounded < 8000
-
     @pytest.mark.parametrize("measure,factor", [
         (isotropic(), 1.0),
         (one_direction_measure(0.3), 64.0),
@@ -291,8 +250,22 @@ class TestGammaPath:
             assert len(sample_gamma_path(measure, 3.0, 0, substream(54, 1))) == 1
 
     def test_rejects_bad_base(self):
-        with pytest.raises(ValueError):
-            sample_gamma_path(XY, 1.0, 3, substream(55, 0))
+        for measure in (XY, isotropic()):
+            for a in (1.0, math.nan, math.inf):
+                with pytest.raises(ValueError, match="renormalization base"):
+                    sample_gamma_path(measure, a, 3, substream(55, 0))
+
+    @pytest.mark.parametrize("name", ["isotropic", "three-atoms", "mixture"])
+    def test_cells_match_the_doubling_route_vertex_for_vertex(self, name):
+        measure = GENERAL[name]
+        for a in (2.0, 3.5):
+            oracle = ClippedPolygonPaths(_PolyZeroCellSampler(measure), a, (K_UNIT,))
+            for n_steps in (0, 1, 6):
+                for seed in range(20):
+                    rng, want_rng = substream(seed, 74), substream(seed, 74)
+                    got = [cell.as_tuples() for cell in sample_gamma_path(measure, a, n_steps, rng).cells]
+                    want = [ConvexPolygon._trusted(verts).as_tuples() for verts in oracle.cells(want_rng, n_steps)]
+                    assert got == want and same_state(rng, want_rng)
 
 
 class TestIndicators:
@@ -333,31 +306,20 @@ class TestIndicators:
         viol = bak[:, 1:] & ~(bk[:, 1:] & bk[:, :-1])
         assert int(viol.sum()) == 0
 
-    def test_indicator_pair_matches_experiment_bits(self):
-        # axis measures: on one stream, the public per-path API and the streamed engine produce identical bits
-        path = sample_gamma_path(XY, 2.0, 6, substream(61, 5))
-        iK, iaK = indicators_pair(path, K_UNIT)
-        assert isinstance(iK, IndicatorSequence)
-        engine = make_path_engine(XY, 2.0, (K_UNIT, scale(K_UNIT, 2.0)))
-        rng = substream(61, 5)
-        state, first = engine.path_start(rng)
-        rest, _ = engine.path_steps(state, rng, 6)
-        bits = np.vstack([first, rest]).astype(np.uint8)
-        assert np.array_equal(iK.bits, bits[:, 0])
-        assert np.array_equal(iaK.bits, bits[:, 1])
-        assert np.all(iaK.bits <= iK.bits)
-
-    def test_indicator_pair_matches_experiment_bits_in_law(self):
-        # general measures: the capped gauges draw other lines than the polygons of
-        # sample_gamma_path, so the two agree in law; 14 bits per path, Bonferroni at 0.01
-        measure, body = isotropic(), centered_square(math.pi / 4.0)
+    @pytest.mark.parametrize("measure, body", [
+        (isotropic(), centered_square(math.pi / 4.0)),
+        (XY, K_UNIT),
+    ], ids=["isotropic", "discrete-xy"])
+    def test_indicator_pair_matches_experiment_bits_in_law(self, measure, body):
+        # the engines draw no polygon, so the polygon cells of sample_gamma_path and the
+        # engine's bits agree in law only; Lambda([body]) = 1, 14 bits per path, Bonferroni at 0.01
         engine = make_path_engine(measure, 2.0, (body, scale(body, 2.0)))
 
         def polygon_bits(rng, m):
             out = []
             for _ in range(m):
                 iK, iaK = indicators_pair(sample_gamma_path(measure, 2.0, 6, rng), body)
-                assert np.all(iaK.bits <= iK.bits)
+                assert isinstance(iK, IndicatorSequence) and np.all(iaK.bits <= iK.bits)
                 out.append(np.concatenate([iK.bits, iaK.bits]))
             return np.array(out)
 
