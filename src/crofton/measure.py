@@ -120,10 +120,6 @@ class LineMeasure:
     def __post_init__(self):
         kappa_total(self.kappa)  # type check
 
-    @property
-    def total_direction_mass(self) -> float:
-        return kappa_total(self.kappa)
-
     def lambda_of(self, body: ConvexPolygon) -> float:
         return lambda_of(self, body)
 
@@ -132,9 +128,6 @@ class LineMeasure:
 
     def sample_poisson_hitting(self, body: ConvexPolygon, time: float, rng) -> list:
         return sample_poisson_hitting(self, body, time, rng)
-
-    def sample_directions(self, rng, n: int) -> np.ndarray:
-        return _sample_directions(self.kappa, rng, n)
 
 
 def discrete_xy(weight_x: float = 0.5, weight_y: float = 0.5) -> LineMeasure:

@@ -37,8 +37,6 @@ __all__ = [
     "ExperimentSpec",
     "EstimateReport",
     "ConditionalPattern",
-    "RenewalSetSample",
-    "renewal_sets",
     "ContainmentTest",
     "Experiment",
     "simulate_indicator_paths",
@@ -171,31 +169,6 @@ def simulate_indicator_paths(spec: ExperimentSpec) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RenewalSetSample:
-    """Indices with containment bit 1 within one simulated path window."""
-
-    times: tuple
-
-    def __post_init__(self):
-        ts = tuple(int(t) for t in self.times)
-        object.__setattr__(self, "times", ts)
-        if any(b <= a for a, b in zip(ts, ts[1:])):
-            raise ValueError("renewal times must be strictly increasing")
-
-    @property
-    def gaps(self) -> tuple:
-        return tuple(b - a for a, b in zip(self.times, self.times[1:]))
-
-
-def renewal_sets(paths: np.ndarray) -> list:
-    """Per-path renewal sets extracted from a simulated indicator array."""
-    out = []
-    for row in paths[:, :, 0]:
-        out.append(RenewalSetSample(tuple(np.flatnonzero(row).tolist())))
-    return out
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from functools import cache
 
 import numpy as np
 
-from .geometry import ConvexPolygon, box_of, centered_square, rects_contain_boxes, regular_polygon, scale
+from .geometry import ConvexPolygon, centered_square, regular_polygon, scale
 from .measure import LineMeasure, axis_weights, lambda_of
 from .montecarlo import (
     ConditionalPattern,
@@ -36,7 +36,7 @@ from .renewal import (
     q_vector,
 )
 from .tessellation import stit_batch as stit_run
-from .zero_cell import _PolyZeroCellSampler, _RectBatchZeroCells, gauge_bodies
+from .zero_cell import _PolyZeroCellSampler, _RectBatchZeroCells
 
 # The splitting generators below call the batch driver as `stit_run(..., m)`:
 # the traced benchmark run (perfbench/tracing.py) times the splitting layer at
@@ -107,19 +107,10 @@ def standard_bodies() -> dict:
 
 
 def pht_zero_cell_events(measure: LineMeasure, bodies, time: float = 1.0, prescale: float = 1.0):
-    """Events 1{prescale * zero_cell(time) contains body} as a block sampler."""
-    if axis_weights(measure.kappa) is not None:
-        batch = _RectBatchZeroCells(measure, time)
-        boxes = [box_of(b.vertices / prescale) for b in bodies]
-
-        def block(rng, m):
-            return rects_contain_boxes(*batch.sample(rng, m), boxes)
-
-        return block
-
-    sampler = _PolyZeroCellSampler(measure, time)
-    scaled = gauge_bodies([scale(b, 1.0 / prescale) for b in bodies])
-    return lambda rng, m: np.array([sampler.gauges(rng, scaled, 1.0) for _ in range(m)]).reshape(m, len(bodies)) >= 1.0
+    """Events 1{prescale * zero_cell(time) contains body} as a block sampler: capped gauges of body / prescale."""
+    sampler = (_RectBatchZeroCells if axis_weights(measure.kappa) is not None else _PolyZeroCellSampler)(measure, time)
+    scaled = sampler.gauge_bodies([scale(b, 1.0 / prescale) for b in bodies])
+    return lambda rng, m: sampler.gauges(rng, scaled, 1.0, m) >= 1.0
 
 
 def stit_zero_cell_events(measure: LineMeasure, window: ConvexPolygon, t: float, bodies):

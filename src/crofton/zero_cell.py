@@ -8,9 +8,10 @@ box B_R clipped by every line so far lies strictly inside the current ball.
 
 The renormalized path with base a > 1 starts from a stationary zero cell and
 iterates cell_{n+1} = (a * cell_n) intersect (a/(a-1) * fresh zero cell).
-Path engines make bits only: axis cells are rectangle bound arrays, and other
-measures use a body's gauge in s * cell, capped at 1, which sees only the lines
-hitting B_{R/s}. Polygons serve output only (`sample_zero_cell`, `sample_gamma_path`).
+The path engine makes bits only, from a body's gauge in s * cell capped at 1,
+which both samplers compute: axis cells from their rectangle bounds, other
+measures from the lines hitting B_{R/s}. Polygons serve output only
+(`sample_zero_cell`, `sample_gamma_path`).
 """
 from __future__ import annotations
 
@@ -26,10 +27,8 @@ from .geometry import (
     ConvexPolygon,
     _clip_cell,
     _intersect_tuples,
-    box_of,
     contains,
     contains_origin_interior,
-    rects_contain_boxes,
     scale,
 )
 from .measure import LineMeasure, _check_time, _sample_directions, axis_weights, kappa_total
@@ -100,6 +99,38 @@ class _RectBatchZeroCells:
                 )
         return -near[:, 1], near[:, 0], -near[:, 3], near[:, 2]
 
+    def cells(self, rng, m: int) -> list:
+        """m zero cells as ccw vertex tuple lists, drawn in one batch."""
+        return [[(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
+                for x0, x1, y0, y1 in zip(*(v.tolist() for v in self.sample(rng, m)))]
+
+    @staticmethod
+    def gauge_bodies(bodies) -> list:
+        """Per body, (side, extent - EPS_GEOM) for each side x1, -x0, y1, -y0 it reaches beyond EPS_GEOM."""
+        extents = [(xs.max(), -xs.min(), ys.max(), -ys.min()) for xs, ys in (b.vertices.T for b in bodies)]
+        return [[(i, float(h) - EPS_GEOM) for i, h in enumerate(ext) if h > EPS_GEOM] for ext in extents]
+
+    def gauges(self, rng, bodies, scale: float, m: int) -> np.ndarray:
+        """(m, n_bodies) gauges of `gauge_bodies` bodies in scale * zero cell, capped at 1.
+
+        A body lies in scale * rect when, on each side where its extent h exceeds EPS_GEOM,
+        h is at most scale * d + EPS_GEOM, d the side's distance from the origin: the ties of
+        `geometry.rects_contain_boxes`. So its gauge is the least (scale * d) / (h - EPS_GEOM).
+        """
+        x0, x1, y0, y1 = self.sample(rng, m)
+        dist = (scale * x1, scale * -x0, scale * y1, scale * -y0)
+        out = np.ones((len(bodies), m))
+        for g, sides in zip(out, bodies):
+            for i, h in sides:
+                np.minimum(g, dist[i] / h, out=g)
+        return out.T
+
+    def path_gauges(self, rng, bodies, m: int, n_steps: int, f: float):
+        """Gauges of m paths' start cells, then of each step's m fresh f-scaled cells: the paths step together."""
+        yield self.gauges(rng, bodies, 1.0, m)
+        for _ in range(n_steps):
+            yield self.gauges(rng, bodies, f, m)
+
 
 # ---------------------------------------------------------------------------
 # convex polygons, held as ccw vertex tuple lists (every measure)
@@ -150,8 +181,15 @@ class _PolyZeroCellSampler:
                     "the directional measure may not span the plane"
                 )
 
-    def gauges(self, rng, bodies, scale: float) -> list:
-        """Per body of `gauge_bodies`, the largest c <= 1 with c * body inside scale * zero cell.
+    def cells(self, rng, m: int) -> list:
+        """m zero cells as ccw vertex tuple lists, drawn one at a time."""
+        return [self.sample(rng) for _ in range(m)]
+
+    gauge_bodies = staticmethod(gauge_bodies)
+
+    def gauges(self, rng, bodies, scale: float, m: int) -> np.ndarray:
+        """(m, n_bodies) array: per zero cell and body of `gauge_bodies`, the largest c <= 1
+        with c * body inside scale * zero cell.
 
         A line at distance d cuts c * body out of scale * cell exactly when c > scale * d / h,
         h the body's support in the line's normal, and no line with h <= 0 cuts any c * body
@@ -161,32 +199,38 @@ class _PolyZeroCellSampler:
         2 * rho * kt. A body no line cuts gets exactly 1.0.
         """
         rho = max(r for _, r in bodies) / scale
-        count = int(rng.poisson(self.time * 2.0 * rho * self.kt))
-        phi = _sample_directions(self.kappa, rng, count).tolist()
-        lines = []  # (scale * distance, unit normal from the origin towards the line)
-        for ph, u in zip(phi, rng.random(count).tolist()):
-            off = rho * (2.0 * u - 1.0)
-            c, s = math.cos(ph), math.sin(ph)
-            lines.append((scale * off, c, s) if off > 0.0 else (-scale * off, -c, -s))
-        out = []
-        for verts, r in bodies:
-            g = 1.0
-            for d, c, s in lines:
-                if d < g * r:
-                    h = max([c * x + s * y for x, y in verts])
-                    if h > 0.0:
-                        g = min(g, d / h)
-            out.append(g)
+        out = np.empty((m, len(bodies)))
+        for row in out:
+            count = int(rng.poisson(self.time * 2.0 * rho * self.kt))
+            phi = _sample_directions(self.kappa, rng, count).tolist()
+            lines = []  # (scale * distance, unit normal from the origin towards the line)
+            for ph, u in zip(phi, rng.random(count).tolist()):
+                off = rho * (2.0 * u - 1.0)
+                c, s = math.cos(ph), math.sin(ph)
+                lines.append((scale * off, c, s) if off > 0.0 else (-scale * off, -c, -s))
+            for j, (verts, r) in enumerate(bodies):
+                g = 1.0
+                for d, c, s in lines:
+                    if d < g * r:
+                        h = max([c * x + s * y for x, y in verts])
+                        if h > 0.0:
+                            g = min(g, d / h)
+                row[j] = g
         return out
 
+    def path_gauges(self, rng, bodies, m: int, n_steps: int, f: float):
+        """Gauges of m paths' start cells, then of each step's m fresh f-scaled cells: one path at a time."""
+        out = np.empty((n_steps + 1, m, len(bodies)))
+        for p in range(m):
+            out[0, p] = self.gauges(rng, bodies, 1.0, 1)
+            out[1:, p] = self.gauges(rng, bodies, f, n_steps)
+        yield from out
 
-def _zero_cell_tuples(measure: LineMeasure, rng, time: float = 1.0, r_max_factor: float = DEFAULT_R_MAX_FACTOR):
-    """One zero cell as a ccw vertex tuple list, from the sampler of the measure's representation."""
-    if axis_weights(measure.kappa) is not None:
-        rect = _RectBatchZeroCells(measure, time, r_max_factor).sample(rng, 1)
-        x0, x1, y0, y1 = (float(v[0]) for v in rect)
-        return [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
-    return _PolyZeroCellSampler(measure, time, r_max_factor).sample(rng)
+
+def _zero_cell_sampler(measure: LineMeasure, time: float = 1.0, r_max_factor: float = DEFAULT_R_MAX_FACTOR):
+    """The zero-cell sampler of the measure's cell representation."""
+    cls = _RectBatchZeroCells if axis_weights(measure.kappa) is not None else _PolyZeroCellSampler
+    return cls(measure, time, r_max_factor)
 
 
 def sample_zero_cell(
@@ -201,7 +245,7 @@ def sample_zero_cell(
     any convex K with the origin in its interior.
     """
     _check_time(time)
-    return ConvexPolygon._trusted(_zero_cell_tuples(measure, rng, time, r_max_factor))
+    return ConvexPolygon._trusted(_zero_cell_sampler(measure, time, r_max_factor).cells(rng, 1)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -249,9 +293,9 @@ def sample_gamma_path(measure: LineMeasure, a: float, n_steps: int, rng) -> Zero
         raise ValueError("n_steps must be >= 0")
     f = a / (a - 1.0)
     # raw vertex lists: a polygon's canonical rotation would change the clip order
-    cells = [_zero_cell_tuples(measure, rng)]
-    for _ in range(n_steps):
-        fresh = _zero_cell_tuples(measure, rng)
+    sampler = _zero_cell_sampler(measure)
+    cells = sampler.cells(rng, 1)
+    for fresh in sampler.cells(rng, n_steps):
         verts = _intersect_tuples([(a * x, a * y) for x, y in cells[-1]], [(f * x, f * y) for x, y in fresh])
         if verts is None:
             raise SimulationAbort("path cell collapsed below the area tolerance")
@@ -275,110 +319,52 @@ def indicators_pair(path: ZeroCellPath, body: ConvexPolygon, a: float | None = N
 
 
 # ---------------------------------------------------------------------------
-# indicator-path engines (consumed by the Monte Carlo harness)
-#
-# Engines make bits only: the rectangle engine steps axis cells held as bound arrays
-# (`_walk` is its renormalized step), the polygon engine steps capped gauges.
+# the indicator-path engine (consumed by the Monte Carlo harness)
 
 
-class _RectPathEngine:
-    """Axis measures: a run of n cells is a (4, n) array of rows x0, x1, y0, y1."""
-
-    def __init__(self, measure: LineMeasure, a: float, bodies, time: float = 1.0):
-        self.batch = _RectBatchZeroCells(measure, time)
-        self.a = a
-        self.f = a / (a - 1.0)
-        self.boxes = [box_of(b.vertices) for b in bodies]
-
-    def _walk(self, state, rng, n: int) -> np.ndarray:
-        """The n path cells after the last cell of `state`; fresh cells drawn in one batch."""
-        fresh = zip(*(v.tolist() for v in self.batch.sample(rng, n)))
-        x0, x1, y0, y1 = state[:, -1].tolist()
-        a, f = self.a, self.f
-        out = []
-        for fx0, fx1, fy0, fy1 in fresh:
-            x0 = max(a * x0, f * fx0)
-            x1 = min(a * x1, f * fx1)
-            y0 = max(a * y0, f * fy0)
-            y1 = min(a * y1, f * fy1)
-            out.append((x0, x1, y0, y1))
-        return np.array(out, dtype=float).reshape(n, 4).T
-
-    def _contain(self, cells) -> np.ndarray:
-        return rects_contain_boxes(*cells, self.boxes)
-
-    def run_block(self, rng, m: int, n_steps: int) -> np.ndarray:
-        """uint8 array (m, n_steps + 1, n_bodies) of containment bits; the m paths step together."""
-        bits = np.empty((m, n_steps + 1, len(self.boxes)), dtype=np.uint8)
-        x0, x1, y0, y1 = self.batch.sample(rng, m)
-        bits[:, 0, :] = rects_contain_boxes(x0, x1, y0, y1, self.boxes)
-        for n in range(1, n_steps + 1):
-            fx0, fx1, fy0, fy1 = self.batch.sample(rng, m)
-            x0 = np.maximum(self.a * x0, self.f * fx0)
-            x1 = np.minimum(self.a * x1, self.f * fx1)
-            y0 = np.maximum(self.a * y0, self.f * fy0)
-            y1 = np.minimum(self.a * y1, self.f * fy1)
-            bits[:, n, :] = rects_contain_boxes(x0, x1, y0, y1, self.boxes)
-        return bits
-
-    def path_start(self, rng):
-        """Initial stationary cell for a streamed single path: (state, bits row)."""
-        state = np.array(self.batch.sample(rng, 1))
-        return state, self._contain(state)[0]
-
-    def path_steps(self, state, rng, n_steps: int):
-        """Advance a streamed path by n_steps: (bits (n_steps, n_bodies), state)."""
-        cells = self._walk(state, rng, n_steps)
-        return self._contain(cells), (cells[:, -1:] if n_steps else state)
-
-
-class _PolyPathEngine:
-    """General measures: bits come from per-body gauges capped at 1, the streamed state.
+class _GaugePathEngine:
+    """Containment bits along renormalized paths, from per-body gauges capped at 1.
 
     a * cell ∩ f * fresh has gauge min(a * gauge, gauge of f * fresh) and contains the body
-    when it is >= 1, so min(a * D, g) with g the capped gauge of f * fresh gives the same
-    bits. The fresh gauge is scaled by f inside `gauges`, so an uncut body gets exactly 1.0:
-    a cap of 1/f multiplied back by f can round below 1 and clear every later bit.
+    when it is >= 1, so D' = min(a * D, g) with g the capped gauge of f * fresh, drawn by the
+    sampler of the measure's cell representation, gives the same bits. The fresh gauge is
+    scaled by f inside `gauges`, so an uncut body gets exactly 1.0: a cap of 1/f multiplied
+    back by f can round below 1 and clear every later bit.
     """
 
     def __init__(self, measure: LineMeasure, a: float, bodies, time: float = 1.0):
-        self.sampler = _PolyZeroCellSampler(measure, time)
+        self.sampler = _zero_cell_sampler(measure, time)
         self.a = a
         self.f = a / (a - 1.0)
-        self.bodies = gauge_bodies(bodies)
-
-    def _gauge_rows(self, g, rng, n: int) -> np.ndarray:
-        """(n + 1, n_bodies) capped gauges: row 0 is g, then the n path cells after it."""
-        rows = [g]
-        a, f = self.a, self.f
-        for _ in range(n):
-            fresh = self.sampler.gauges(rng, self.bodies, f)
-            rows.append([min(a * x, y) for x, y in zip(rows[-1], fresh)])
-        return np.array(rows).reshape(n + 1, len(self.bodies))
+        self.bodies = self.sampler.gauge_bodies(bodies)
 
     def run_block(self, rng, m: int, n_steps: int) -> np.ndarray:
-        """uint8 array (m, n_steps + 1, n_bodies) of containment bits, one path at a time."""
+        """uint8 array (m, n_steps + 1, n_bodies) of containment bits."""
         bits = np.empty((m, n_steps + 1, len(self.bodies)), dtype=np.uint8)
-        for row in bits:
-            row[:] = self._gauge_rows(self.sampler.gauges(rng, self.bodies, 1.0), rng, n_steps) >= 1.0
+        columns = self.sampler.path_gauges(rng, self.bodies, m, n_steps, self.f)
+        g = next(columns)
+        bits[:, 0] = g >= 1.0
+        for n, fresh in enumerate(columns, 1):
+            g = np.minimum(self.a * g, fresh)
+            bits[:, n] = g >= 1.0
         return bits
 
     def path_start(self, rng):
         """Initial stationary cell for a streamed single path: (state, bits row)."""
-        state = self.sampler.gauges(rng, self.bodies, 1.0)
-        return state, (np.array(state) >= 1.0).astype(np.uint8)
+        g = self.sampler.gauges(rng, self.bodies, 1.0, 1)[0]
+        return g.tolist(), (g >= 1.0).astype(np.uint8)
 
     def path_steps(self, state, rng, n_steps: int):
         """Advance a streamed path by n_steps: (bits (n_steps, n_bodies), state)."""
-        rows = self._gauge_rows(state, rng, n_steps)
-        return (rows[1:] >= 1.0).astype(np.uint8), rows[-1].tolist()
+        a = self.a
+        rows = []
+        for fresh in self.sampler.gauges(rng, self.bodies, self.f, n_steps).tolist():
+            state = [min(a * x, y) for x, y in zip(state, fresh)]
+            rows.append(state)
+        return (np.array(rows) >= 1.0).astype(np.uint8).reshape(n_steps, len(self.bodies)), state
 
 
-def make_path_engine(measure: LineMeasure, a: float, bodies, time: float = 1.0):
-    """Pick the engine of the measure's cell representation."""
-    if axis_weights(measure.kappa) is not None:
-        return _RectPathEngine(measure, a, bodies, time)
-    return _PolyPathEngine(measure, a, bodies, time)
+make_path_engine = _GaugePathEngine  # (measure, a, bodies, time=1.0): the harness's constructor
 
 
 # ---------------------------------------------------------------------------

@@ -9,21 +9,35 @@ axis zero-cell sampler that pins the batch sampler's output bit for bit, the
 clip-every-round polygon sampler, which pins the polygon sampler bit for bit,
 a clip-and-contain path engine, which on the capped gauges' own lines pins the
 gauge path bits bit for bit and on the doubling route pins the cells of
-`sample_gamma_path` vertex for vertex, and the exact law of the path bits,
-which draws no line at all.
+`sample_gamma_path` vertex for vertex, a rectangle path engine that steps
+bound arrays and tests boxes, which pins the axis gauge path bits bit for bit,
+the exact law of the path bits, which draws no line at all, and renewal sets
+read off the path bits, which cross-check the delay estimators.
 """
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.spatial import ConvexHull
 
 from crofton.errors import SimulationAbort
-from crofton.geometry import EPS_GEOM, ConvexPolygon, Direction, _clip_cell, _contains_tuples, _intersect_tuples, width
-from crofton.measure import _sample_directions, lambda_of, sample_hitting
+from crofton.geometry import (
+    EPS_GEOM,
+    ConvexPolygon,
+    Direction,
+    _clip_cell,
+    _contains_tuples,
+    _intersect_tuples,
+    box_of,
+    rects_contain_boxes,
+    width,
+)
+from crofton.measure import LineMeasure, _sample_directions, lambda_of, sample_hitting
 from crofton.tessellation import DEFAULT_MAX_JUMPS
+from crofton.zero_cell import _RectBatchZeroCells
 from crofton.geometry import split as geom_split
 
 
@@ -275,7 +289,7 @@ def clip_every_round_zero_cell(sampler, rng):
 def capped_zero_cell(sampler, rng, reach: float, scale: float):
     """The box of radius rho = reach / scale, clipped by the zero cell's lines that hit the ball B_rho.
 
-    Same draws, in the same order, as `_PolyZeroCellSampler.gauges(rng, bodies, scale)` for
+    Same draws, in the same order, as `_PolyZeroCellSampler.gauges(rng, bodies, scale, 1)` for
     bodies whose largest vertex norm is `reach`. No other line meets c * body for
     c <= 1 / scale, which lies in B_rho, so such a c * body lies in this polygon exactly
     when it lies in the zero cell.
@@ -328,7 +342,7 @@ class ClippedPolygonPaths:
     `cells` makes the same draws and clips, in the same order, as
     `sample_gamma_path`. With `capped` they come from `capped_zero_cell` at scale 1
     for the start and f for a fresh cell: then it makes the same draws, in the same
-    order, as `_PolyPathEngine`, whose bits come from capped gauges.
+    order, as the path engine of `make_path_engine`, whose bits come from capped gauges.
     """
 
     def __init__(self, sampler, a: float, bodies, capped: bool = False):
@@ -380,3 +394,86 @@ class ClippedPolygonPaths:
         bits = np.empty((n_steps, len(self.bodies)), dtype=np.uint8)
         last = self._contain(self._walk(state, rng, n_steps), bits)
         return bits, (state if last is None else last)
+
+
+class RectanglePaths:
+    """Axis measures: a path engine that steps rectangles, a run of n cells being a (4, n)
+    array of rows x0, x1, y0, y1, and tests their bounds against the bodies' boxes.
+
+    Same draws, in the same order, as the gauge path engine of `make_path_engine` on an
+    axis measure: all m start cells, then m fresh cells per step in `run_block`, and one
+    batch of n fresh cells per `path_steps(state, rng, n)`. Its containment ties are those
+    of `rects_contain_boxes`, so the bits must agree bit for bit.
+    """
+
+    def __init__(self, measure: LineMeasure, a: float, bodies, time: float = 1.0):
+        self.batch = _RectBatchZeroCells(measure, time)
+        self.a = a
+        self.f = a / (a - 1.0)
+        self.boxes = [box_of(b.vertices) for b in bodies]
+
+    def _walk(self, state, rng, n: int) -> np.ndarray:
+        """The n path cells after the last cell of `state`; fresh cells drawn in one batch."""
+        fresh = zip(*(v.tolist() for v in self.batch.sample(rng, n)))
+        x0, x1, y0, y1 = state[:, -1].tolist()
+        a, f = self.a, self.f
+        out = []
+        for fx0, fx1, fy0, fy1 in fresh:
+            x0 = max(a * x0, f * fx0)
+            x1 = min(a * x1, f * fx1)
+            y0 = max(a * y0, f * fy0)
+            y1 = min(a * y1, f * fy1)
+            out.append((x0, x1, y0, y1))
+        return np.array(out, dtype=float).reshape(n, 4).T
+
+    def _contain(self, cells) -> np.ndarray:
+        return rects_contain_boxes(*cells, self.boxes)
+
+    def run_block(self, rng, m: int, n_steps: int) -> np.ndarray:
+        """uint8 array (m, n_steps + 1, n_bodies) of containment bits; the m paths step together."""
+        bits = np.empty((m, n_steps + 1, len(self.boxes)), dtype=np.uint8)
+        x0, x1, y0, y1 = self.batch.sample(rng, m)
+        bits[:, 0, :] = rects_contain_boxes(x0, x1, y0, y1, self.boxes)
+        for n in range(1, n_steps + 1):
+            fx0, fx1, fy0, fy1 = self.batch.sample(rng, m)
+            x0 = np.maximum(self.a * x0, self.f * fx0)
+            x1 = np.minimum(self.a * x1, self.f * fx1)
+            y0 = np.maximum(self.a * y0, self.f * fy0)
+            y1 = np.minimum(self.a * y1, self.f * fy1)
+            bits[:, n, :] = rects_contain_boxes(x0, x1, y0, y1, self.boxes)
+        return bits
+
+    def path_start(self, rng):
+        """Initial stationary cell for a streamed single path: (state, bits row)."""
+        state = np.array(self.batch.sample(rng, 1))
+        return state, self._contain(state)[0]
+
+    def path_steps(self, state, rng, n_steps: int):
+        """Advance a streamed path by n_steps: (bits (n_steps, n_bodies), state)."""
+        cells = self._walk(state, rng, n_steps)
+        return self._contain(cells), (cells[:, -1:] if n_steps else state)
+
+
+@dataclass(frozen=True)
+class RenewalSetSample:
+    """Indices with containment bit 1 within one simulated path window."""
+
+    times: tuple
+
+    def __post_init__(self):
+        ts = tuple(int(t) for t in self.times)
+        object.__setattr__(self, "times", ts)
+        if any(b <= a for a, b in zip(ts, ts[1:])):
+            raise ValueError("renewal times must be strictly increasing")
+
+    @property
+    def gaps(self) -> tuple:
+        return tuple(b - a for a, b in zip(self.times, self.times[1:]))
+
+
+def renewal_sets(paths: np.ndarray) -> list:
+    """Per-path renewal sets extracted from a simulated indicator array."""
+    out = []
+    for row in paths[:, :, 0]:
+        out.append(RenewalSetSample(tuple(np.flatnonzero(row).tolist())))
+    return out

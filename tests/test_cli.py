@@ -10,6 +10,7 @@ from crofton.cli import main
 from crofton.config import Config, load_config, resolve_body, resolve_measure
 from crofton.errors import ConfigError
 from crofton.geometry import box, centered_square
+from crofton.measure import kappa_total
 from crofton.svg import render_svg
 from crofton.tessellation import Tessellation
 
@@ -49,7 +50,7 @@ class TestConfig:
 
     def test_measure_specs(self):
         assert resolve_measure("discrete-xy").lambda_of(centered_square(1.0)) == pytest.approx(1.0)
-        assert resolve_measure("isotropic:2").total_direction_mass == pytest.approx(2.0)
+        assert kappa_total(resolve_measure("isotropic:2").kappa) == pytest.approx(2.0)
         m = resolve_measure({"kind": "discrete", "atoms": [[0.0, 0.5], [1.5707963, 0.5]]})
         assert m.lambda_of(centered_square(1.0)) == pytest.approx(1.0, abs=1e-7)
         with pytest.raises(ConfigError):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from _oracles import coverage_calibration, law_paths
+from _oracles import RenewalSetSample, coverage_calibration, law_paths, renewal_sets
 from crofton.errors import InsufficientConditioningEvents
 from crofton.geometry import centered_square
 from crofton.measure import discrete_xy, isotropic
@@ -14,10 +14,8 @@ from crofton.montecarlo import (
     ConditionalPattern,
     Experiment,
     ExperimentSpec,
-    RenewalSetSample,
     Z99,
     ergodic_average,
-    renewal_sets,
     simulate_indicator_paths,
     two_sample_containment_test,
 )

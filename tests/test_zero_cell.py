@@ -7,6 +7,7 @@ import pytest
 
 from _oracles import (
     ClippedPolygonPaths,
+    RectanglePaths,
     capped_zero_cell,
     clip_every_round_zero_cell,
     four_scatter_rect_zero_cells,
@@ -14,11 +15,14 @@ from _oracles import (
 )
 from crofton.errors import SimulationAbort
 from crofton.geometry import (
+    EPS_GEOM,
     ConvexPolygon,
     _contains_tuples,
+    box_of,
     centered_square,
     contains,
     contains_origin_interior,
+    rects_contain_boxes,
     regular_polygon,
     scale,
 )
@@ -27,7 +31,6 @@ from crofton.montecarlo import Experiment, ExperimentSpec, two_sample_containmen
 from crofton.rng import substream
 from crofton.verify import pht_zero_cell_events
 from crofton.zero_cell import (
-    _PolyPathEngine,
     _PolyZeroCellSampler,
     _RectBatchZeroCells,
     IndicatorSequence,
@@ -52,6 +55,8 @@ GENERAL = {
         Mixture(((Isotropic(0.5), 1.0), (Discrete(((0.0, 0.25), (0.5 * math.pi, 0.25))), 1.0)))
     ),
 }
+AXIS = {"discrete-xy": XY, "unequal-weights": XY_UNEQUAL}
+MEASURES = {**GENERAL, **AXIS}
 HEXAGON = regular_polygon(6, 0.5, 0.2)
 # bodies without the origin in their interior: one with a vertex at it, one away from it
 CORNER = ConvexPolygon([(0.0, 0.0), (0.6, 0.0), (0.0, 0.6)])
@@ -72,6 +77,13 @@ def one_direction_measure(phi: float) -> LineMeasure:
     kappa = object.__new__(Discrete)
     object.__setattr__(kappa, "atoms", ((phi, 1.0),))
     return LineMeasure(kappa)
+
+
+def path_oracle(measure: LineMeasure, a: float, bodies):
+    """The bit-for-bit reference of the gauge path engine: rectangles for axis measures, else clipping."""
+    if measure in AXIS.values():
+        return RectanglePaths(measure, a, bodies)
+    return ClippedPolygonPaths(_PolyZeroCellSampler(measure), a, bodies, capped=True)
 
 
 def batch_contains(x0, x1, y0, y1, body):
@@ -153,6 +165,25 @@ class TestZeroCellSampler:
                     assert all(np.array_equal(g, w) for g, w in zip(got, want))
                     assert stats["active_per_round"] == want_stats["active_per_round"]
 
+    def test_axis_gauges_keep_the_containment_ties(self):
+        # a box side within EPS_GEOM outside a sampled rectangle's bound counts as contained, as
+        # in rects_contain_boxes, and one 2 * EPS_GEOM outside does not; random draws meet such
+        # a tie with probability about 1e-9, so only a built case shows a dropped tolerance
+        sampler = _RectBatchZeroCells(XY)
+        for seed in range(5):
+            rect = [float(v[0]) for v in sampler.sample(substream(seed, 75), 1)]
+            for side in range(4):  # x0, x1, y0, y1
+                for shift, inside in ((0.5 * EPS_GEOM, True), (2.0 * EPS_GEOM, False)):
+                    bounds = [0.5 * v for v in rect]
+                    bounds[side] = rect[side] + (shift if side % 2 else -shift)
+                    bx0, bx1, by0, by1 = bounds
+                    body = ConvexPolygon([(bx0, by0), (bx1, by0), (bx1, by1), (bx0, by1)])
+                    assert rects_contain_boxes(*np.array(rect)[:, None], [box_of(body.vertices)])[0, 0] == inside
+                    g = sampler.gauges(substream(seed, 75), sampler.gauge_bodies([body]), 1.0, 1)
+                    assert g.shape == (1, 1) and (g[0, 0] >= 1.0) == inside and g[0, 0] <= 1.0
+                    _, bits = make_path_engine(XY, 2.0, [body]).path_start(substream(seed, 75))
+                    assert bits.tolist() == [int(inside)]
+
     def test_doubling_rounds_shrink_and_terminate(self):
         stats = {}
         n = 200_000
@@ -192,7 +223,7 @@ class TestZeroCellSampler:
         reach = max(r for _, r in pairs)
         rng, want_rng = substream(72, 0), substream(72, 0)
         for _ in range(200):
-            got = sampler.gauges(rng, pairs, 1.0)
+            got = sampler.gauges(rng, pairs, 1.0, 1)[0]
             cell = capped_zero_cell(sampler, want_rng, reach, 1.0)
             assert all(math.isfinite(g) and 0.0 <= g <= 1.0 for g in got)
             assert [g >= 1.0 for g in got] == [_contains_tuples(cell, b.as_tuples()) for b in bodies]
@@ -330,16 +361,16 @@ class TestIndicators:
         res = two_sample_containment_test(polygon_bits, engine_bits, names, 2000, seed=61, body_names=names)
         assert res.passed, res.to_dict()
 
-    @pytest.mark.parametrize("name", list(GENERAL))
+    @pytest.mark.parametrize("name", list(MEASURES))
     def test_gauge_engine_matches_clipping_oracle_bit_for_bit(self, name):
-        measure = GENERAL[name]
+        measure = MEASURES[name]
         # at a = 19/9, f = a / (a - 1) times its reciprocal rounds below 1
         f = (19 / 9) / (19 / 9 - 1.0)
         assert f * (1.0 / f) < 1.0
         for family, bodies in BODY_FAMILIES.items():
             for a, salt in ((2.0, 2), (3.5, 3), (19 / 9, 7)):
-                engine = _PolyPathEngine(measure, a, bodies)
-                oracle = ClippedPolygonPaths(_PolyZeroCellSampler(measure), a, bodies, capped=True)
+                engine = make_path_engine(measure, a, bodies)
+                oracle = path_oracle(measure, a, bodies)
                 for m in (1, 7, 30):
                     for n_steps in (0, 1, 6):
                         key = 100 * n_steps + 10 * len(family) + salt
@@ -348,33 +379,43 @@ class TestIndicators:
                         assert np.array_equal(got, oracle.run_block(want_rng, m, n_steps))
                         assert got.shape == (m, n_steps + 1, len(bodies)) and same_state(rng, want_rng)
 
-    @pytest.mark.parametrize("name", list(GENERAL))
+    @pytest.mark.parametrize("name", list(MEASURES))
     def test_streamed_gauge_path_matches_oracle_in_any_chunking(self, name):
         bodies = BODY_FAMILIES["hexagon"] + BODY_FAMILIES["off-origin"]
-        engine = _PolyPathEngine(GENERAL[name], 2.0, bodies)
-        oracle = ClippedPolygonPaths(_PolyZeroCellSampler(GENERAL[name]), 2.0, bodies, capped=True)
+        engine = make_path_engine(MEASURES[name], 2.0, bodies)
+        oracle = path_oracle(MEASURES[name], 2.0, bodies)
+
+        def stream(eng, seed, chunks):
+            rng = substream(seed, 73)
+            state, first = eng.path_start(rng)
+            rows = [first[None, :]]
+            for n in chunks:
+                chunk, state = eng.path_steps(state, rng, n)
+                assert chunk.shape == (n, len(bodies))
+                rows.append(chunk)
+            return np.vstack(rows).astype(np.uint8), repr(rng.bit_generator.state)
+
         for seed in range(3):
             runs = []
-            for eng, chunks in ((oracle, (201,)), (engine, (201,)), (engine, (0, 1, 6, 50, 144, 0))):
-                rng = substream(seed, 73)
-                state, first = eng.path_start(rng)
-                rows = [first[None, :]]
-                for n in chunks:
-                    chunk, state = eng.path_steps(state, rng, n)
-                    assert chunk.shape == (n, len(bodies))
-                    rows.append(chunk)
-                runs.append((np.vstack(rows).astype(np.uint8), repr(rng.bit_generator.state)))
-            assert runs[0][0].shape == (202, len(bodies))
-            assert all(np.array_equal(bits, runs[0][0]) and st == runs[0][1] for bits, st in runs)
+            for chunks in ((201,), (0, 1, 6, 50, 144, 0)):
+                # an axis path draws each chunk's fresh cells in one batch, so its stream
+                # depends on the chunking: engine and oracle run in the same chunking
+                bits, st = stream(engine, seed, chunks)
+                want_bits, want_st = stream(oracle, seed, chunks)
+                assert bits.shape == (202, len(bodies))
+                assert np.array_equal(bits, want_bits) and st == want_st
+                runs.append((bits, st))
+            if name in GENERAL:
+                assert np.array_equal(runs[0][0], runs[1][0]) and runs[0][1] == runs[1][1]
 
-    @pytest.mark.parametrize("name", ["isotropic", "three-atoms"])
+    @pytest.mark.parametrize("name", ["isotropic", "three-atoms", "discrete-xy"])
     def test_capped_engine_joint_bits_match_independent_routes(self, name):
         # the joint bits of K and aK at steps 0-3 as one of 3^4 patterns per path (aK inside
         # forces K inside), against the exact law, which draws no line, and against the
         # doubling route, which shares no line draw with the cap; Bonferroni at 0.01
-        measure = GENERAL[name]
+        measure = MEASURES[name]
         bodies = (K_UNIT, scale(K_UNIT, 2.0))
-        engine = _PolyPathEngine(measure, 2.0, bodies)
+        engine = make_path_engine(measure, 2.0, bodies)
         doubling = ClippedPolygonPaths(_PolyZeroCellSampler(measure), 2.0, bodies)
         lam = lambda_of(measure, K_UNIT)
 
@@ -418,18 +459,23 @@ class TestIndicators:
         se = math.sqrt(target * (1 - target) / int(in_k.sum()))
         assert abs(est - target) <= 3.0 * se
 
-    @pytest.mark.parametrize("name", ["isotropic", "three-atoms"])
+    @pytest.mark.parametrize("name", ["isotropic", "three-atoms", "discrete-xy"])
     def test_pht_events_match_clipped_cell_containment(self, name):
-        # the Poisson side of the containment comparisons: gauges of 1/prescale bodies, capped at 1
+        # the Poisson side of the containment comparisons: gauges of 1/prescale bodies, capped at 1,
+        # against containment in clipped cells, or for an axis measure in the sampled rectangles
         bodies = (K_UNIT, HEXAGON) + BODY_FAMILIES["off-origin"]
         for t, prescale in ((1.0, 1.0), (0.5, 0.5), (2.0, 2.0)):
-            sampler = _PolyZeroCellSampler(GENERAL[name], t)
-            scaled = [scale(b, 1.0 / prescale).as_tuples() for b in bodies]
-            reach = max(math.sqrt(max(x * x + y * y for x, y in verts)) for verts in scaled)
             rng, want_rng = substream(74, int(4 * t)), substream(74, int(4 * t))
-            got = pht_zero_cell_events(GENERAL[name], bodies, t, prescale)(rng, 300)
-            cells = [capped_zero_cell(sampler, want_rng, reach, 1.0) for _ in range(300)]
-            want = np.array([[_contains_tuples(c, b) for b in scaled] for c in cells])
+            got = pht_zero_cell_events(MEASURES[name], bodies, t, prescale)(rng, 300)
+            if name in AXIS:
+                rects = _RectBatchZeroCells(MEASURES[name], t).sample(want_rng, 300)
+                want = rects_contain_boxes(*rects, [box_of(b.vertices / prescale) for b in bodies])
+            else:
+                sampler = _PolyZeroCellSampler(GENERAL[name], t)
+                scaled = [scale(b, 1.0 / prescale).as_tuples() for b in bodies]
+                reach = max(math.sqrt(max(x * x + y * y for x, y in verts)) for verts in scaled)
+                cells = [capped_zero_cell(sampler, want_rng, reach, 1.0) for _ in range(300)]
+                want = np.array([[_contains_tuples(c, b) for b in scaled] for c in cells])
             assert np.array_equal(got, want) and same_state(rng, want_rng)
             assert 0 < int(got.sum()) < got.size
 
