@@ -33,8 +33,10 @@ print("\nhexagon widths at a few angles:")
 for phi in (0.0, math.pi / 6, math.pi / 3):
     print(f"  phi = {phi:.3f}: width = {width(hexagon, Direction(phi)):.6f}")
 
-# Sampling lines that hit a body: direction density is weight * width,
-# the offset is uniform over the body's projection onto the normal.
+# Sampling lines that hit a body: draw lines hitting a disc around it
+# (direction from the directional measure, offset uniform across the disc)
+# and keep those that hit the body. The kept lines have direction density
+# weight * width and offsets uniform over the body's projection.
 rng = master_stream(2024)
 print("\nfive sampled hexagon-hitting lines (isotropic):")
 for _ in range(5):

@@ -4,12 +4,18 @@ A line measure factorizes as (Lebesgue offset measure) x (finite directional
 measure kappa). The mass of lines hitting a convex body K is the
 kappa-integral of K's width function; for the isotropic kappa this is the
 closed Cauchy formula mass * perimeter / pi.
+
+Lines hitting K are drawn one way for every kappa. Those hitting a disc
+B(c, r) around K have mass 2 r kappa_total, directions from the normalized
+kappa and offsets uniform on c . n +- r; keeping only those that hit K leaves
+the measure restricted to K. One hitting line is the first kept disc line,
+and a Poisson population of hitting lines is a thinned Poisson population of
+disc lines.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -217,70 +223,27 @@ def _sample_directions(kappa, rng, n: int) -> np.ndarray:
     raise TypeError(f"not a directional measure: {type(kappa).__name__}")
 
 
-@lru_cache(maxsize=256)
-def _isotropic_bucket_bounds(body: ConvexPolygon, n_buckets: int = 64):
-    """Piecewise-constant upper bound of the width function on [0, pi).
-
-    The support function in direction phi is max_i r_i cos(phi - theta_i); on a
-    bucket the max of each cosine term is attained at an edge or at theta_i
-    itself, so the bound is exact-per-term and rigorous. Cached per polygon
-    object (polygons are immutable).
-    """
-    v = body.vertices
-    r = np.hypot(v[:, 0], v[:, 1])
-    theta = np.arctan2(v[:, 1], v[:, 0])
-    edges = np.linspace(0.0, math.pi, n_buckets + 1)
-
-    def support_bound(th):
-        c = np.cos(edges[None, :] - th[:, None])  # (k, n_buckets+1)
-        cand = np.maximum(c[:, :-1], c[:, 1:])
-        inside = (th[:, None] % (2.0 * math.pi) >= edges[None, :-1]) & (
-            th[:, None] % (2.0 * math.pi) <= edges[None, 1:]
-        )
-        cand = np.where(inside, 1.0, cand)
-        return (r[:, None] * cand).max(axis=0)
-
-    bounds = support_bound(theta) + support_bound(theta - math.pi)
-    return edges, bounds
-
-
-def _sample_hitting_phi(kappa, body: ConvexPolygon, rng) -> float:
-    """Direction of a hitting line: density proportional to weight * width."""
-    if isinstance(kappa, Discrete):
-        phis = [p for p, _ in kappa.atoms]
-        ws = np.array([w for _, w in kappa.atoms])
-        probs = ws * _widths_at(body, phis)
-        cum = np.cumsum(probs)
-        idx = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-        return phis[min(idx, len(phis) - 1)]
-    if isinstance(kappa, Isotropic):
-        edges, bounds = _isotropic_bucket_bounds(body)
-        cum = np.cumsum(bounds)
-        while True:
-            b = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-            b = min(b, len(bounds) - 1)
-            phi = edges[b] + rng.random() * (edges[b + 1] - edges[b])
-            w = _widths_at(body, [phi])[0]
-            if rng.random() * bounds[b] <= w:
-                return float(phi)
-    if isinstance(kappa, Mixture):
-        masses = np.array([w * lambda_of(m, body) for m, w in kappa.components])
-        cum = np.cumsum(masses)
-        j = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-        j = min(j, len(masses) - 1)
-        return _sample_hitting_phi(kappa.components[j][0], body, rng)
-    raise TypeError(f"not a directional measure: {type(kappa).__name__}")
+def _disc(body: ConvexPolygon):
+    """(vertex list, cx, cy, r): the disc B((cx, cy), r) around the body, centred on its
+    bounding box with r its largest vertex distance."""
+    verts = body.vertices.tolist()
+    xs, ys = zip(*verts)
+    cx, cy = 0.5 * (min(xs) + max(xs)), 0.5 * (min(ys) + max(ys))
+    return verts, cx, cy, math.sqrt(max((x - cx) ** 2 + (y - cy) ** 2 for x, y in verts))
 
 
 def sample_hitting(measure, body: ConvexPolygon, rng) -> Line:
-    """One line from the normalized restriction of the measure to lines hitting body."""
+    """One line from the normalized restriction of the measure to lines hitting body:
+    the first line hitting a disc around the body that hits the body itself."""
     kappa = measure.kappa if isinstance(measure, LineMeasure) else measure
-    phi = _sample_hitting_phi(kappa, body, rng)
-    n = (math.cos(phi), math.sin(phi))
-    proj = body.vertices @ n
-    lo, hi = float(proj.min()), float(proj.max())
-    offset = lo + rng.random() * (hi - lo)
-    return Line(Direction(phi), offset)
+    verts, cx, cy, r = _disc(body)
+    while True:
+        phi = float(_sample_directions(kappa, rng, 1)[0])
+        c, s = math.cos(phi), math.sin(phi)
+        offset = cx * c + cy * s + r * (2.0 * rng.random() - 1.0)
+        proj = [c * x + s * y for x, y in verts]
+        if min(proj) < offset < max(proj):
+            return Line(Direction(phi), offset)
 
 
 def _check_time(time: float) -> None:
@@ -290,8 +253,15 @@ def _check_time(time: float) -> None:
 
 
 def sample_poisson_hitting(measure, body: ConvexPolygon, time: float, rng) -> list:
-    """Poisson(time * Lambda([body])) many i.i.d. hitting lines."""
+    """Poisson(time * Lambda([body])) many i.i.d. hitting lines: the lines of a Poisson
+    population on a disc around the body that hit the body."""
     _check_time(time)
-    mu = time * lambda_of(measure, body)
-    count = int(rng.poisson(mu))
-    return [sample_hitting(measure, body, rng) for _ in range(count)]
+    kappa = measure.kappa if isinstance(measure, LineMeasure) else measure
+    _, cx, cy, r = _disc(body)
+    count = int(rng.poisson(time * 2.0 * r * kappa_total(kappa)))
+    phi = _sample_directions(kappa, rng, count)
+    n = np.stack([np.cos(phi), np.sin(phi)])
+    offset = cx * n[0] + cy * n[1] + r * (2.0 * rng.random(count) - 1.0)
+    proj = body.vertices @ n
+    hit = (proj.min(axis=0) < offset) & (offset < proj.max(axis=0))
+    return [Line(Direction(p), d) for p, d in zip(phi[hit].tolist(), offset[hit].tolist())]

@@ -66,9 +66,19 @@ class TestConfig:
 
 
 class TestSampleCommands:
-    def test_stit_sample_byte_identical(self, tmp_path):
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ["stit", "--window", "square:1"],
+            ["pht", "--window", "square:2"],
+            ["stit", "--measure", "isotropic", "--window", "ngon:6:1"],
+            ["pht", "--measure", "isotropic", "--window", "ngon:6:1"],
+        ],
+        ids=" ".join,
+    )
+    def test_stit_sample_byte_identical(self, tmp_path, spec):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        argv = ["sample", "stit", "--t", "1", "--window", "square:1", "--seed", "7"]
+        argv = ["sample", *spec, "--t", "1", "--seed", "7"]
         assert main(argv + ["--out", str(a)]) == 0
         assert main(argv + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()

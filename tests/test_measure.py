@@ -23,6 +23,7 @@ from crofton.rng import substream
 from _oracles import isotropic_lambda_by_quadrature, random_convex_polygon
 
 UNIT = box(0.0, 0.0, 1.0, 1.0)
+MIXTURE = LineMeasure(Mixture(((Isotropic(0.5), 1.0), (Discrete(((0.3, 1.0), (1.1, 0.5))), 0.7))))
 
 
 class TestLambdaOf:
@@ -41,8 +42,7 @@ class TestLambdaOf:
 
     def test_homogeneity(self):
         rng = np.random.default_rng(5)
-        measures = [discrete_xy(), isotropic(0.8),
-                    LineMeasure(Mixture(((Isotropic(0.5), 1.0), (Discrete(((0.3, 1.0), (1.1, 0.5))), 0.7))))]
+        measures = [discrete_xy(), isotropic(0.8), MIXTURE]
         for m in measures:
             for _ in range(30):
                 poly = random_convex_polygon(rng)
@@ -77,14 +77,20 @@ class TestSampleHitting:
         assert abs(vertical / n - 0.5) <= 3.0 * se
 
     def test_every_sampled_line_hits_the_body(self):
-        rng = substream(103, 0)
         poly = regular_polygon(5, 1.2, 0.3)
-        for m in (discrete_xy(), isotropic()):
-            for _ in range(50_000):
-                line = sample_hitting(m, poly, rng)
-                nx, ny = line.normal
-                proj = poly.vertices @ (nx, ny)
-                assert proj.min() - 1e-12 <= line.offset <= proj.max() + 1e-12
+        moved = translate(poly, 5.0, -3.0)
+        cases = [  # (stream, measures, body, lines per measure)
+            (substream(103, 0), (discrete_xy(), isotropic()), poly, 50_000),
+            (substream(103, 1), (MIXTURE,), poly, 10_000),
+            (substream(103, 2), (discrete_xy(), isotropic(), MIXTURE), moved, 10_000),
+        ]
+        for rng, measures, body, n in cases:
+            for m in measures:
+                for _ in range(n):
+                    line = sample_hitting(m, body, rng)
+                    nx, ny = line.normal
+                    proj = body.vertices @ (nx, ny)
+                    assert proj.min() - 1e-12 <= line.offset <= proj.max() + 1e-12
 
     def test_exact_hit_probability_unequal_atoms(self):
         # P(direction j) = weight_j * width_j / Lambda([body]); rectangle makes it exact
@@ -103,19 +109,19 @@ class TestSampleHitting:
 
     def test_isotropic_offsets_uniform_on_hit_interval(self):
         # 64-gon is disk-like; normalized offsets must be uniform per direction bucket
-        body = regular_polygon(64, 1.0)
-        rng = substream(109, 0)
+        disc = regular_polygon(64, 1.0)
         m = isotropic()
-        by_bucket = [[] for _ in range(8)]
-        for _ in range(20_000):
-            line = sample_hitting(m, body, rng)
-            nx, ny = line.normal
-            proj = body.vertices @ (nx, ny)
-            u = (line.offset - proj.min()) / (proj.max() - proj.min())
-            by_bucket[min(7, int(line.direction.phi / math.pi * 8))].append(u)
-        for bucket in by_bucket:
-            stat = kstest(bucket, "uniform")
-            assert stat.pvalue > 0.01
+        for body, rng in ((disc, substream(109, 0)), (translate(disc, -4.0, 7.0), substream(109, 1))):
+            by_bucket = [[] for _ in range(8)]
+            for _ in range(20_000):
+                line = sample_hitting(m, body, rng)
+                nx, ny = line.normal
+                proj = body.vertices @ (nx, ny)
+                u = (line.offset - proj.min()) / (proj.max() - proj.min())
+                by_bucket[min(7, int(line.direction.phi / math.pi * 8))].append(u)
+            for bucket in by_bucket:
+                stat = kstest(bucket, "uniform")
+                assert stat.pvalue > 0.01
 
     def test_mixture_component_frequencies(self):
         # component choice must weight each component by its own hitting mass
@@ -138,34 +144,42 @@ class TestSampleHitting:
 
     def test_isotropic_direction_density_proportional_to_width(self):
         # width of a long thin box concentrates directions near its short axis
-        body = box(-2.0, -0.1, 2.0, 0.1)
-        rng = substream(113, 0)
+        thin = box(-2.0, -0.1, 2.0, 0.1)
         n = 40_000
-        phis = np.array([sample_hitting(isotropic(), body, rng).direction.phi for _ in range(n)])
-        # P(phi in [pi/4, 3pi/4]) = integral of width over that arc / total
+        # P(phi in [pi/4, 3pi/4]) = integral of width over that arc / total; the law is
+        # translation-invariant, so the moved box has the same target
         lo, hi = math.pi / 4, 3 * math.pi / 4
         from scipy.integrate import quad
 
-        num, _ = quad(lambda p: width(body, Direction(p)), lo, hi)
-        den, _ = quad(lambda p: width(body, Direction(p)), 0.0, math.pi)
+        num, _ = quad(lambda p: width(thin, Direction(p)), lo, hi)
+        den, _ = quad(lambda p: width(thin, Direction(p)), 0.0, math.pi)
         target = num / den
-        est = float(((phis >= lo) & (phis < hi)).mean())
-        assert abs(est - target) <= 3.0 * math.sqrt(target * (1 - target) / n)
+        for body, rng in ((thin, substream(113, 0)), (translate(thin, 6.0, -4.0), substream(113, 1))):
+            phis = np.array([sample_hitting(isotropic(), body, rng).direction.phi for _ in range(n)])
+            est = float(((phis >= lo) & (phis < hi)).mean())
+            assert abs(est - target) <= 3.0 * math.sqrt(target * (1 - target) / n)
 
 
 class TestPoissonHitting:
-    def test_mean_and_dispersion(self):
-        m = discrete_xy()
-        body = centered_square(2.0)  # Lambda = 2
-        rng = substream(127, 0)
-        n = 100_000
+    @pytest.mark.parametrize(
+        "m, body, salt, n",
+        [
+            (discrete_xy(), centered_square(2.0), 0, 100_000),  # Lambda = 2
+            (isotropic(), translate(regular_polygon(6, 1.0), 3.0, -2.0), 1, 40_000),
+            (MIXTURE, translate(regular_polygon(5, 1.2, 0.3), 5.0, -3.0), 2, 40_000),
+        ],
+        ids=["discrete-xy", "isotropic-hexagon", "mixture-pentagon"],
+    )
+    def test_mean_and_dispersion(self, m, body, salt, n):
+        # the disc lines kept by the body must number Poisson(t * Lambda([body]))
+        lam = lambda_of(m, body)
+        rng = substream(127, salt)
         counts = np.array([len(sample_poisson_hitting(m, body, 1.0, rng)) for _ in range(n)])
-        mu = counts.mean()
-        assert abs(mu - 2.0) <= 3.0 * math.sqrt(2.0 / n)
+        assert abs(counts.mean() - lam) <= 3.0 * math.sqrt(lam / n)
         # Poisson variance equals the mean; variance of the sample variance ~ 2 mu^2/n + mu/n
         var = counts.var(ddof=1)
-        se_var = math.sqrt((2 * 4.0 + 2.0) / n)
-        assert abs(var - 2.0) <= 3.0 * se_var
+        se_var = math.sqrt((2 * lam * lam + lam) / n)
+        assert abs(var - lam) <= 3.0 * se_var
 
     def test_superposition_matches_single_run_counts(self):
         m = discrete_xy()
