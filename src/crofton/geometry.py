@@ -60,17 +60,6 @@ class Direction:
         if not 0.0 <= self.phi < math.pi:
             raise ValueError(f"direction angle must lie in [0, pi), got {self.phi}")
 
-    @classmethod
-    def of(cls, angle: float) -> "Direction":
-        """Wrap an arbitrary angle into [0, pi) (u and -u are the same direction)."""
-        _check_finite(angle)
-        phi = math.fmod(angle, math.pi)
-        if phi < 0.0:
-            phi += math.pi
-        if phi >= math.pi:  # fmod round-off
-            phi -= math.pi
-        return cls(phi)
-
     @property
     def normal(self) -> tuple[float, float]:
         return (math.cos(self.phi), math.sin(self.phi))
@@ -181,28 +170,31 @@ def _clip_cell(verts, a: float, b: float, c: float):
     return out
 
 
-def _intersect_tuples(avt, bvt):
-    """Clip the ccw vertex list avt by every edge of the ccw list bvt; None when empty."""
-    verts = avt
-    n = len(bvt)
-    for i in range(n):
-        x0, y0 = bvt[i]
-        x1, y1 = bvt[(i + 1) % n]
-        a, b = y1 - y0, x0 - x1
-        verts = _clip_cell(verts, a, b, a * x0 + b * y0)
+def _clip_all(verts, constraints):
+    """Clip by each (a, b, c) constraint a*x + b*y <= c in turn; None once the region is empty."""
+    for a, b, c in constraints:
+        verts = _clip_cell(verts, a, b, c)
         if verts is None:
             return None
     return verts
 
 
+def _edges(verts):
+    """The ccw vertex list as (a, b, c) constraints a*x + b*y <= c, one per edge."""
+    for (x0, y0), (x1, y1) in zip(verts, verts[1:] + verts[:1]):
+        a, b = y1 - y0, x0 - x1  # outward normal of a ccw edge
+        yield a, b, a * x0 + b * y0
+
+
+def _intersect_tuples(avt, bvt):
+    """Clip the ccw vertex list avt by every edge of the ccw list bvt; None when empty."""
+    return _clip_all(avt, _edges(bvt))
+
+
 def _contains_tuples(cell_verts, body_verts, tol: float = EPS_GEOM) -> bool:
     """Closed containment of one ccw vertex list in another, ties within tol inside."""
-    n = len(cell_verts)
-    for i in range(n):
-        x0, y0 = cell_verts[i]
-        x1, y1 = cell_verts[(i + 1) % n]
-        a, b = y1 - y0, x0 - x1
-        limit = a * x0 + b * y0 + tol * math.hypot(a, b)
+    for a, b, c in _edges(cell_verts):
+        limit = c + tol * math.hypot(a, b)
         for x, y in body_verts:
             if a * x + b * y > limit:
                 return False
@@ -282,19 +274,12 @@ class ConvexPolygon:
         return float(np.sum(np.hypot(*(np.roll(v, -1, axis=0) - v).T)))
 
     def as_tuples(self):
-        return [(float(x), float(y)) for x, y in self._vertices]
+        """The vertices as a list of [x, y] Python float pairs."""
+        return self._vertices.tolist()
 
     def edge_halfplanes(self):
         """The polygon as a list of (a, b, c) constraints a*x + b*y <= c."""
-        out = []
-        v = self._vertices
-        n = len(v)
-        for i in range(n):
-            x0, y0 = v[i]
-            x1, y1 = v[(i + 1) % n]
-            a, b = y1 - y0, x0 - x1  # outward normal of a ccw edge
-            out.append((a, b, a * x0 + b * y0))
-        return out
+        return list(_edges(self.as_tuples()))
 
     def __repr__(self):
         return f"ConvexPolygon({self.n_vertices} vertices, area={self._area:.6g})"
@@ -356,9 +341,7 @@ def regular_polygon(k: int, circumradius: float = 1.0, phase: float = 0.0) -> Co
 
 def clip(polygon: ConvexPolygon, hp: HalfPlane) -> ConvexPolygon | None:
     """Intersect a polygon with a half-plane; None when the interior vanishes."""
-    a, b, c = hp.as_leq()
-    out = _clip_cell(polygon.as_tuples(), a, b, c)
-    return None if out is None else ConvexPolygon._trusted(out)
+    return halfplane_intersection([hp], polygon)
 
 
 def split(polygon: ConvexPolygon, line: Line) -> tuple[ConvexPolygon, ConvexPolygon] | None:
@@ -374,13 +357,8 @@ def split(polygon: ConvexPolygon, line: Line) -> tuple[ConvexPolygon, ConvexPoly
 
 def halfplane_intersection(hps, bound: ConvexPolygon) -> ConvexPolygon | None:
     """Intersect a bounding polygon with every half-plane in the list."""
-    verts = bound.as_tuples()
-    for hp in hps:
-        a, b, c = hp.as_leq()
-        verts = _clip_cell(verts, a, b, c)
-        if verts is None:
-            return None
-    return ConvexPolygon._trusted(verts)
+    verts = _clip_all(bound.as_tuples(), (hp.as_leq() for hp in hps))
+    return None if verts is None else ConvexPolygon._trusted(verts)
 
 
 def width(polygon: ConvexPolygon, direction: Direction) -> float:

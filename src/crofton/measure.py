@@ -5,17 +5,18 @@ measure kappa). The mass of lines hitting a convex body K is the
 kappa-integral of K's width function; for the isotropic kappa this is the
 closed Cauchy formula mass * perimeter / pi.
 
-Lines hitting K are drawn one way for every kappa. Those hitting a disc
-B(c, r) around K have mass 2 r kappa_total, directions from the normalized
+Lines are drawn one way for every kappa, by `disc_lines`. Those hitting a
+disc B(c, r) around K have mass 2 r kappa_total, directions from the normalized
 kappa and offsets uniform on c . n +- r; keeping only those that hit K leaves
 the measure restricted to K. One hitting line is the first kept disc line,
 and a Poisson population of hitting lines is a thinned Poisson population of
-disc lines.
+disc lines; the zero-cell samplers thin disc lines around the origin.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -66,6 +67,11 @@ class Discrete:
         if len(distinct) < 2:
             raise ValueError("directional support must span the plane: need >= 2 distinct directions")
 
+    @cached_property
+    def _table(self):
+        """(atom angles, cumulative weights) for _sample_directions; not a field, so eq and hash ignore it."""
+        return np.array([p for p, _ in self.atoms]), np.cumsum([w for _, w in self.atoms])
+
 
 @dataclass(frozen=True)
 class Mixture:
@@ -83,6 +89,11 @@ class Mixture:
                 raise TypeError(f"unsupported component {type(m).__name__}")
             if not (math.isfinite(w) and w > 0.0):
                 raise ValueError(f"component weight must be positive, got {w}")
+
+    @cached_property
+    def _cum(self):
+        """Cumulative component masses, for _sample_directions."""
+        return np.cumsum(np.array([w * kappa_total(m) for m, w in self.components]))
 
 
 def kappa_total(kappa) -> float:
@@ -204,15 +215,13 @@ def _sample_directions(kappa, rng, n: int) -> np.ndarray:
     if isinstance(kappa, Isotropic):
         return rng.random(n) * math.pi
     if isinstance(kappa, Discrete):
-        phis = np.array([p for p, _ in kappa.atoms])
-        cum = np.cumsum([w for _, w in kappa.atoms])
+        phis, cum = kappa._table
         idx = np.searchsorted(cum, rng.random(n) * cum[-1], side="right")
         return phis[np.minimum(idx, len(phis) - 1)]
     if isinstance(kappa, Mixture):
-        masses = np.array([w * kappa_total(m) for m, w in kappa.components])
-        cum = np.cumsum(masses)
+        cum = kappa._cum
         comp = np.searchsorted(cum, rng.random(n) * cum[-1], side="right")
-        comp = np.minimum(comp, len(masses) - 1)
+        comp = np.minimum(comp, len(cum) - 1)
         out = np.empty(n)
         for j, (m, _) in enumerate(kappa.components):
             mask = comp == j
@@ -223,13 +232,34 @@ def _sample_directions(kappa, rng, n: int) -> np.ndarray:
     raise TypeError(f"not a directional measure: {type(kappa).__name__}")
 
 
+def disc_lines(kappa, rng, count: int, cx: float, cy: float, r: float) -> list:
+    """count i.i.d. lines of kappa hitting the disc B((cx, cy), r), as Python float tuples
+    (phi, cos phi, sin phi, offset): directions from the normalized kappa, offsets uniform
+    on c . n +- r. A Poisson(t * 2 r kappa_total) count of them is the Poisson line
+    population of the disc at time t; callers draw that count themselves."""
+    if not count:  # a draw of no numbers leaves the generator as it was, so skipping it keeps the stream
+        return []
+    phis = _sample_directions(kappa, rng, count).tolist()
+    out = []
+    for phi, u in zip(phis, rng.random(count).tolist()):
+        c, s = math.cos(phi), math.sin(phi)
+        out.append((phi, c, s, cx * c + cy * s + r * (2.0 * u - 1.0)))
+    return out
+
+
 def _disc(body: ConvexPolygon):
     """(vertex list, cx, cy, r): the disc B((cx, cy), r) around the body, centred on its
     bounding box with r its largest vertex distance."""
-    verts = body.vertices.tolist()
+    verts = body.as_tuples()
     xs, ys = zip(*verts)
     cx, cy = 0.5 * (min(xs) + max(xs)), 0.5 * (min(ys) + max(ys))
     return verts, cx, cy, math.sqrt(max((x - cx) ** 2 + (y - cy) ** 2 for x, y in verts))
+
+
+def _hits(verts, c: float, s: float, offset: float) -> bool:
+    """The line {p . (c, s) = offset} passes through the interior of the vertex list's hull."""
+    proj = [c * x + s * y for x, y in verts]
+    return min(proj) < offset < max(proj)
 
 
 def sample_hitting(measure, body: ConvexPolygon, rng) -> Line:
@@ -238,11 +268,8 @@ def sample_hitting(measure, body: ConvexPolygon, rng) -> Line:
     kappa = measure.kappa if isinstance(measure, LineMeasure) else measure
     verts, cx, cy, r = _disc(body)
     while True:
-        phi = float(_sample_directions(kappa, rng, 1)[0])
-        c, s = math.cos(phi), math.sin(phi)
-        offset = cx * c + cy * s + r * (2.0 * rng.random() - 1.0)
-        proj = [c * x + s * y for x, y in verts]
-        if min(proj) < offset < max(proj):
+        [(phi, c, s, offset)] = disc_lines(kappa, rng, 1, cx, cy, r)
+        if _hits(verts, c, s, offset):
             return Line(Direction(phi), offset)
 
 
@@ -257,11 +284,7 @@ def sample_poisson_hitting(measure, body: ConvexPolygon, time: float, rng) -> li
     population on a disc around the body that hit the body."""
     _check_time(time)
     kappa = measure.kappa if isinstance(measure, LineMeasure) else measure
-    _, cx, cy, r = _disc(body)
+    verts, cx, cy, r = _disc(body)
     count = int(rng.poisson(time * 2.0 * r * kappa_total(kappa)))
-    phi = _sample_directions(kappa, rng, count)
-    n = np.stack([np.cos(phi), np.sin(phi)])
-    offset = cx * n[0] + cy * n[1] + r * (2.0 * rng.random(count) - 1.0)
-    proj = body.vertices @ n
-    hit = (proj.min(axis=0) < offset) & (offset < proj.max(axis=0))
-    return [Line(Direction(p), d) for p, d in zip(phi[hit].tolist(), offset[hit].tolist())]
+    return [Line(Direction(phi), offset) for phi, c, s, offset in disc_lines(kappa, rng, count, cx, cy, r)
+            if _hits(verts, c, s, offset)]

@@ -21,7 +21,6 @@ from .geometry import (
     EPS_GEOM,
     ConvexPolygon,
     _area2,
-    _clip_cell,
     _intersect_tuples,
     _rect_to_polygon,
     box_of,
@@ -415,30 +414,15 @@ def nest(outer: Tessellation, inner_seq) -> Tessellation:
         if inner.n_cells == 1:
             out.append(cell)
             continue
-        constraints = cell.edge_halfplanes()
-        for piece in inner.cells:
-            verts = piece.as_tuples()
-            for aa, bb, cc in constraints:
-                verts = _clip_cell(verts, aa, bb, cc)
-                if verts is None:
-                    break
-            if verts is not None:
-                out.append(ConvexPolygon._trusted(verts))
+        pieces = (intersection(piece, cell) for piece in inner.cells)
+        out.extend(p for p in pieces if p is not None)
     return Tessellation(outer.window, tuple(out))
 
 
 def restrict(tess: Tessellation, window: ConvexPolygon) -> Tessellation:
     """The tessellation induced on a sub-window (cells clipped, empty pieces dropped)."""
-    out = []
-    for cell in tess.cells:
-        verts = cell.as_tuples()
-        for hp_abc in window.edge_halfplanes():
-            verts = _clip_cell(verts, *hp_abc)
-            if verts is None:
-                break
-        if verts is not None:
-            out.append(ConvexPolygon._trusted(verts))
-    return Tessellation(window, tuple(out))
+    pieces = (intersection(cell, window) for cell in tess.cells)
+    return Tessellation(window, tuple(p for p in pieces if p is not None))
 
 
 def zero_cell_of(tess: Tessellation) -> ConvexPolygon | None:

@@ -2,9 +2,10 @@
 
 The zero cell at time t is the cell containing the origin, realized as the
 intersection of origin-side half-planes of a Poisson line population. A cell
-takes its lines by adaptive radius doubling: the population hitting the ball
-B_R first, then fresh annulus populations (hitting B_2R but not B_R) until the
-box B_R clipped by every line so far lies strictly inside the current ball.
+takes its lines by adaptive radius doubling: in the round of radius R, one
+Poisson population of lines hitting the ball B_R (`measure.disc_lines`),
+thinned to those that miss the previous round's ball, until the box B_R
+clipped by every line so far lies strictly inside the current ball.
 
 The renormalized path with base a > 1 starts from a stationary zero cell and
 iterates cell_{n+1} = (a * cell_n) intersect (a/(a-1) * fresh zero cell).
@@ -25,13 +26,13 @@ from .errors import SimulationAbort
 from .geometry import (
     EPS_GEOM,
     ConvexPolygon,
-    _clip_cell,
+    _clip_all,
     _intersect_tuples,
     contains,
     contains_origin_interior,
     scale,
 )
-from .measure import LineMeasure, _check_time, _sample_directions, axis_weights, kappa_total
+from .measure import LineMeasure, _check_time, axis_weights, disc_lines, kappa_total
 
 __all__ = [
     "ZeroCellPath",
@@ -54,8 +55,8 @@ DEFAULT_R_MAX_FACTOR = float(2**20)
 class _RectBatchZeroCells:
     """Sampler of m independent zero cells at once (axis measures only).
 
-    The adaptive-doubling population of the polygon sampler, with the annulus
-    lines of all still-active cells drawn in one batch and scattered to their
+    The adaptive-doubling population of the polygon sampler, drawn on each round's
+    annulus for all still-active cells in one batch and scattered to their
     owners; a rectangle's bounds are the nearest line offsets on each side.
     """
 
@@ -157,21 +158,14 @@ class _PolyZeroCellSampler:
         lines = []  # (unit normal from the origin towards the line, distance)
         r_lo, r = 0.0, self.r0
         while True:
-            # lines hitting B_r, not B_r_lo: offset measure 2*(r - r_lo) at every phi, so phi ~ kappa
-            count = int(rng.poisson(self.time * 2.0 * (r - r_lo) * self.kt))
-            phi = _sample_directions(self.kappa, rng, count)
-            mag = r_lo + rng.random(count) * (r - r_lo)
-            neg = rng.random(count) < 0.5
-            # a zero-magnitude draw would put a line through the origin; measure-zero event
-            mag[mag == 0.0] = 0.5 * (r_lo + r) if r_lo > 0.0 else 0.5 * r
-            for ph, off in zip(phi.tolist(), np.where(neg, -mag, mag).tolist()):
-                c, s = math.cos(ph), math.sin(ph)
-                lines.append((c, s, off) if off > 0.0 else (-c, -s, -off))
-            verts = [(-r, -r), (r, -r), (r, r), (-r, r)]
-            for c, s, d in lines:
-                verts = _clip_cell(verts, c, s, d)
-                if verts is None:
-                    raise SimulationAbort("zero cell collapsed below the area tolerance")
+            # the disc lines of B_r that miss B_r_lo: a Poisson population of mass
+            # 2 * (r - r_lo) * kt, independent of earlier rounds; none passes through the origin
+            count = int(rng.poisson(self.time * 2.0 * r * self.kt))
+            lines += [(c, s, off) if off > 0.0 else (-c, -s, -off)
+                      for _, c, s, off in disc_lines(self.kappa, rng, count, 0.0, 0.0, r) if abs(off) > r_lo]
+            verts = _clip_all([(-r, -r), (r, -r), (r, r), (-r, r)], lines)
+            if verts is None:
+                raise SimulationAbort("zero cell collapsed below the area tolerance")
             if all(x * x + y * y < (r - EPS_GEOM) ** 2 for x, y in verts):
                 return verts
             r_lo, r = r, 2.0 * r
@@ -202,12 +196,9 @@ class _PolyZeroCellSampler:
         out = np.empty((m, len(bodies)))
         for row in out:
             count = int(rng.poisson(self.time * 2.0 * rho * self.kt))
-            phi = _sample_directions(self.kappa, rng, count).tolist()
-            lines = []  # (scale * distance, unit normal from the origin towards the line)
-            for ph, u in zip(phi, rng.random(count).tolist()):
-                off = rho * (2.0 * u - 1.0)
-                c, s = math.cos(ph), math.sin(ph)
-                lines.append((scale * off, c, s) if off > 0.0 else (-scale * off, -c, -s))
+            # (scale * distance, unit normal from the origin towards the line)
+            lines = [(scale * off, c, s) if off > 0.0 else (-scale * off, -c, -s)
+                     for _, c, s, off in disc_lines(self.kappa, rng, count, 0.0, 0.0, rho)]
             for j, (verts, r) in enumerate(bodies):
                 g = 1.0
                 for d, c, s in lines:

@@ -252,21 +252,22 @@ def clip_every_round_zero_cell(sampler, rng):
     """The polygon sampler that clips the box B_r by all lines in every doubling round.
 
     Same draws, in the same order, and the same stopping rule as
-    `_PolyZeroCellSampler.sample`: stop once every clipped vertex lies strictly
-    inside the ball of radius r - EPS_GEOM. The sampler must return the same
-    vertex lists bit for bit and leave the generator in the same state, so a
-    change to its draws, its clip order or its stopping radius shows here.
+    `_PolyZeroCellSampler.sample`, written as whole-array numpy draws: in the
+    round of radius r, a Poisson(t * 2r * kt) count of lines hitting B_r, with
+    offsets r * (2u - 1), of which those with |offset| > r_lo (the previous
+    radius) are kept; stop once every clipped vertex lies strictly inside the
+    ball of radius r - EPS_GEOM. The sampler must return the same vertex lists
+    bit for bit and leave the generator in the same state, so a change to its
+    draws, its thinning, its clip order or its stopping radius shows here.
     """
     lines = []
     r_lo, r = 0.0, sampler.r0
     while True:
-        count = int(rng.poisson(sampler.time * 2.0 * (r - r_lo) * sampler.kt))
+        count = int(rng.poisson(sampler.time * 2.0 * r * sampler.kt))
         phi = _sample_directions(sampler.kappa, rng, count)
-        mag = r_lo + rng.random(count) * (r - r_lo)
-        neg = rng.random(count) < 0.5
-        mag[mag == 0.0] = 0.5 * (r_lo + r) if r_lo > 0.0 else 0.5 * r
-        offset = np.where(neg, -mag, mag)
-        lines.extend(zip(phi.tolist(), offset.tolist()))
+        offset = r * (2.0 * rng.random(count) - 1.0)
+        keep = np.abs(offset) > r_lo
+        lines.extend(zip(phi[keep].tolist(), offset[keep].tolist()))
         verts = [(-r, -r), (r, -r), (r, r), (-r, r)]
         for ph, off in lines:
             c, s = math.cos(ph), math.sin(ph)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 from _oracles import (
     ClippedPolygonPaths,
@@ -138,15 +139,24 @@ class TestZeroCellSampler:
         se = 2.0 / math.sqrt(len(edges))
         assert abs(edges.mean() - 2.0) <= 3.0 * se
 
-    def test_rect_and_polygon_paths_agree_on_same_stream(self):
-        for measure, t in ((XY, 1.0), (XY_UNEQUAL, 0.37)):
-            for i in range(50):
-                rect = [float(v[0]) for v in _RectBatchZeroCells(measure, t).sample(substream(45, i), 1)]
-                poly = _PolyZeroCellSampler(measure, t).sample(substream(45, i))
-                xs = sorted({round(x, 9) for x, _ in poly})
-                ys = sorted({round(y, 9) for _, y in poly})
-                assert xs == [round(rect[0], 9), round(rect[1], 9)]
-                assert ys == [round(rect[2], 9), round(rect[3], 9)]
+    def test_rect_and_polygon_samplers_draw_one_axis_cell_law(self):
+        # two routes to one law: the polygon sampler thins disc lines, the rectangle sampler
+        # draws annulus lines; each side distance is compared by a two-sample KS test,
+        # Bonferroni 0.01 over the 8 sides
+        n = 2000
+        for k, (measure, t) in enumerate(((XY, 1.0), (XY_UNEQUAL, 0.37))):
+            sampler = _PolyZeroCellSampler(measure, t)
+            rng = substream(45, k)
+            poly = []
+            for _ in range(n):
+                verts = sampler.sample(rng)
+                xs = sorted({round(x, 9) for x, _ in verts})
+                ys = sorted({round(y, 9) for _, y in verts})
+                assert len(xs) == 2 and len(ys) == 2  # an axis rectangle
+                poly.append((xs[1], -xs[0], ys[1], -ys[0]))
+            x0, x1, y0, y1 = _RectBatchZeroCells(measure, t).sample(substream(46, k), n)
+            for got, want in zip(np.array(poly).T, (x1, -x0, y1, -y0)):
+                assert ks_2samp(got, want).pvalue > 0.01 / 8
 
     @pytest.mark.parametrize("measure", [
         XY,
