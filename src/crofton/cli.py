@@ -14,7 +14,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import replace
 
 from .config import Config, load_config, resolve_body, resolve_measure
 from .errors import ConfigError, SimulationAbort
@@ -98,11 +97,12 @@ def cmd_sample(args) -> int:
             "path_length": args.n,
             "out": args.out,
             "svg": args.svg,
+            "format": args.format if args.kind == "gamma-path" else None,
         },
+        # gamma-path writes 6 steps as CSV unless a config file or a flag says otherwise
+        defaults={"format": "csv", "path_length": 6} if args.kind == "gamma-path" else None,
     )
     seed = cfg.require_seed()
-    if args.kind == "gamma-path" and cfg.path_length is None:
-        cfg = replace(cfg, path_length=6)
     measure = resolve_measure(cfg.measure)
     rng = master_stream(seed)
     meta = _meta(f"sample {args.kind}", cfg)
@@ -129,8 +129,7 @@ def cmd_sample(args) -> int:
         path = sample_gamma_path(measure, cfg.a, cfg.path_length, rng)
         if args.check:
             path.validate()
-        fmt = args.format or ("csv" if cfg.format == "json" else cfg.format)
-        if fmt == "csv":
+        if cfg.format == "csv":
             buf = io.StringIO()
             write_path_csv(path, buf, body)
             _emit(buf.getvalue(), cfg.out)

@@ -81,10 +81,15 @@ class Config:
         return max(1, self.workers)
 
 
-def load_config(path: str | None, overrides: dict) -> Config:
-    """Config file (optional) merged with non-None flag overrides; refuses unwritable outputs."""
+def load_config(path: str | None, overrides: dict, defaults: dict | None = None) -> Config:
+    """Config file (optional) merged with non-None flag overrides; refuses unwritable outputs.
+
+    defaults are a command's own values for keys that neither the file nor a flag
+    sets; a null in the file counts as unset for them.
+    """
+    defaults = defaults or {}
     if path is None:
-        base = Config()
+        base = Config(**defaults)
     else:
         try:
             with open(path) as f:
@@ -95,7 +100,8 @@ def load_config(path: str | None, overrides: dict) -> Config:
             raise ConfigError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from e
         if not isinstance(data, dict):
             raise ConfigError(f"{path}: top level must be an object")
-        base = Config.from_dict(data, source=path)
+        data = {k: v for k, v in data.items() if v is not None or k not in defaults}
+        base = Config.from_dict({**defaults, **data}, source=path)
     cfg = base.merged(overrides)
     for out in filter(None, (cfg.out, cfg.svg)):
         if not os.access(os.path.dirname(os.path.abspath(out)), os.W_OK | os.X_OK):

@@ -163,19 +163,23 @@ def _tidy(verts):
 
 
 def _clip_cell(verts, a: float, b: float, c: float):
-    """Clip and tidy; returns None when the remaining region is empty."""
+    """Clip and tidy: (vertex list, twice its area), or None when the remaining region is empty."""
     out = _tidy(_clip_leq(verts, a, b, c))
-    if len(out) < 3 or _area2(out) <= 2.0 * EPS_AREA:
+    if len(out) < 3:
         return None
-    return out
+    area2 = _area2(out)
+    if area2 <= 2.0 * EPS_AREA:
+        return None
+    return out, area2
 
 
 def _clip_all(verts, constraints):
     """Clip by each (a, b, c) constraint a*x + b*y <= c in turn; None once the region is empty."""
     for a, b, c in constraints:
-        verts = _clip_cell(verts, a, b, c)
-        if verts is None:
+        clipped = _clip_cell(verts, a, b, c)
+        if clipped is None:
             return None
+        verts = clipped[0]
     return verts
 
 
@@ -201,9 +205,19 @@ def _contains_tuples(cell_verts, body_verts, tol: float = EPS_GEOM) -> bool:
     return True
 
 
-def _rotate_canonical(verts):
-    k = min(range(len(verts)), key=lambda i: verts[i])
-    return verts[k:] + verts[:k]
+def _rotate_canonical(verts) -> tuple:
+    """The vertex cycle as a tuple starting at its lexicographically smallest vertex."""
+    k = min(range(len(verts)), key=verts.__getitem__)
+    return (*verts[k:], *verts[:k])
+
+
+def _perimeter(verts) -> float:
+    """Sum of the edge lengths of a ccw vertex list."""
+    dx, dy = [], []
+    for (x0, y0), (x1, y1) in zip(verts, verts[1:] + verts[:1]):
+        dx.append(x1 - x0)
+        dy.append(y1 - y0)
+    return float(np.hypot(dx, dy).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -212,11 +226,12 @@ def _rotate_canonical(verts):
 class ConvexPolygon:
     """An immutable strictly convex polygon with counter-clockwise vertices.
 
-    Vertices are exposed as a read-only (n, 2) float64 array, rotated so the
-    lexicographically smallest vertex comes first.
+    The vertices are held as a tuple of Python float pairs, rotated so the
+    lexicographically smallest vertex comes first. The read-only (n, 2)
+    float64 array `vertices` and the perimeter are built on first use.
     """
 
-    __slots__ = ("_vertices", "_area")
+    __slots__ = ("_verts", "_area", "_array", "_perimeter")
 
     def __init__(self, vertices):
         verts = [(float(x), float(y)) for x, y in np.asarray(vertices, dtype=float).reshape(-1, 2)]
@@ -243,26 +258,31 @@ class ConvexPolygon:
         self._init_trusted(verts, area)
 
     def _init_trusted(self, verts, area):
-        self._vertices = np.array(_rotate_canonical(verts), dtype=float)
-        self._vertices.setflags(write=False)
+        self._verts = _rotate_canonical(verts)
         self._area = float(area)
+        self._array = None
+        self._perimeter = None
 
     @classmethod
-    def _trusted(cls, verts) -> "ConvexPolygon":
-        """Build from a known-valid ccw tuple list, skipping validation."""
+    def _trusted(cls, verts, area2: float | None = None) -> "ConvexPolygon":
+        """Build from a known-valid ccw list of float pairs, skipping validation;
+        area2, twice the area, when the caller has it already."""
         p = cls.__new__(cls)
-        p._init_trusted(verts, 0.5 * _area2(verts))
+        p._init_trusted(verts, 0.5 * (_area2(verts) if area2 is None else area2))
         return p
 
     # -- basic accessors ----------------------------------------------------
 
     @property
     def vertices(self) -> np.ndarray:
-        return self._vertices
+        if self._array is None:
+            self._array = np.array(self._verts, dtype=float)
+            self._array.setflags(write=False)
+        return self._array
 
     @property
     def n_vertices(self) -> int:
-        return len(self._vertices)
+        return len(self._verts)
 
     @property
     def area(self) -> float:
@@ -270,12 +290,13 @@ class ConvexPolygon:
 
     @property
     def perimeter(self) -> float:
-        v = self._vertices
-        return float(np.sum(np.hypot(*(np.roll(v, -1, axis=0) - v).T)))
+        if self._perimeter is None:
+            self._perimeter = _perimeter(self._verts)
+        return self._perimeter
 
-    def as_tuples(self):
-        """The vertices as a list of [x, y] Python float pairs."""
-        return self._vertices.tolist()
+    def as_tuples(self) -> tuple:
+        """The vertices as a tuple of (x, y) Python float pairs."""
+        return self._verts
 
     def edge_halfplanes(self):
         """The polygon as a list of (a, b, c) constraints a*x + b*y <= c."""
@@ -295,13 +316,13 @@ class ConvexPolygon:
         if n != other.n_vertices:
             return False
         return any(
-            bool(np.all(np.abs(self._vertices - np.roll(other._vertices, k, axis=0)) <= tol))
+            bool(np.all(np.abs(self.vertices - np.roll(other.vertices, k, axis=0)) <= tol))
             for k in range(n)
         )
 
     def to_json(self):
         """JSON representation: array of [x, y] pairs, counter-clockwise."""
-        return [[float(x), float(y)] for x, y in self._vertices]
+        return [[float(x), float(y)] for x, y in self._verts]
 
     @classmethod
     def from_json(cls, data) -> "ConvexPolygon":
@@ -352,7 +373,7 @@ def split(polygon: ConvexPolygon, line: Line) -> tuple[ConvexPolygon, ConvexPoly
     hi = _clip_cell(verts, -nx, -ny, -line.offset)
     if lo is None or hi is None:
         return None
-    return ConvexPolygon._trusted(lo), ConvexPolygon._trusted(hi)
+    return ConvexPolygon._trusted(*lo), ConvexPolygon._trusted(*hi)
 
 
 def halfplane_intersection(hps, bound: ConvexPolygon) -> ConvexPolygon | None:
@@ -364,7 +385,7 @@ def halfplane_intersection(hps, bound: ConvexPolygon) -> ConvexPolygon | None:
 def width(polygon: ConvexPolygon, direction: Direction) -> float:
     """Length of the projection of the polygon onto the direction's normal."""
     nx, ny = direction.normal
-    proj = polygon._vertices @ (nx, ny)
+    proj = polygon.vertices @ (nx, ny)
     return float(proj.max() - proj.min())
 
 
@@ -376,7 +397,7 @@ def scale(polygon: ConvexPolygon, c: float) -> ConvexPolygon:
     _check_finite(c)
     if c == 0.0:
         raise ValueError("scale factor must be nonzero")
-    return ConvexPolygon._trusted([(float(c * x), float(c * y)) for x, y in polygon._vertices])
+    return ConvexPolygon._trusted([(float(c * x), float(c * y)) for x, y in polygon.as_tuples()])
 
 
 def translate(polygon: ConvexPolygon, dx: float, dy: float) -> ConvexPolygon:

@@ -72,6 +72,12 @@ class Discrete:
         """(atom angles, cumulative weights) for _sample_directions; not a field, so eq and hash ignore it."""
         return np.array([p for p, _ in self.atoms]), np.cumsum([w for _, w in self.atoms])
 
+    @cached_property
+    def _normals(self):
+        """(atom weights, (2, k) atom normals (cos phi, sin phi)) for lambda_of, cached like _table."""
+        phis = self._table[0]
+        return np.array([w for _, w in self.atoms]), np.stack([np.cos(phis), np.sin(phis)])
+
 
 @dataclass(frozen=True)
 class Mixture:
@@ -185,22 +191,15 @@ def kappa_from_config(data):
 # hitting mass
 
 
-def _widths_at(body: ConvexPolygon, phis) -> np.ndarray:
-    phis = np.asarray(phis, dtype=float)
-    n = np.stack([np.cos(phis), np.sin(phis)])
-    proj = body.vertices @ n
-    return proj.max(axis=0) - proj.min(axis=0)
-
-
 def lambda_of(measure, body: ConvexPolygon) -> float:
     """Total mass of lines hitting the body (the kappa-integral of its width)."""
     kappa = measure.kappa if isinstance(measure, LineMeasure) else measure
     if isinstance(kappa, Isotropic):
         return kappa.mass * body.perimeter / math.pi
     if isinstance(kappa, Discrete):
-        phis = [p for p, _ in kappa.atoms]
-        ws = np.array([w for _, w in kappa.atoms])
-        return float(ws @ _widths_at(body, phis))
+        ws, normals = kappa._normals
+        proj = body.vertices @ normals
+        return float(ws @ (proj.max(axis=0) - proj.min(axis=0)))
     if isinstance(kappa, Mixture):
         return sum(w * lambda_of(m, body) for m, w in kappa.components)
     raise TypeError(f"not a directional measure: {type(kappa).__name__}")

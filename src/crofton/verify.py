@@ -7,7 +7,12 @@ individual level, so a verdict fails about as often as the square of its
 first-attempt rate. On exact-law bits those rates are 1.4% for `q` at 1200
 paths (its five 3-sigma checks allow 1.3%), 1.8% for `p` at 96 paths x 80
 steps (six allow 1.6%), 1.5% for `p` at 4000 x 160, and 2.1% for the delay
-laws of `renewal` at 4000 x 160 (eleven allow 2.9%).
+laws of `renewal` at 4000 x 160 (eleven allow 2.9%). The two-sample targets
+test at level 0.01, split over their bodies. Their first attempts at seeds
+10000 and up fail at 0.55% for `stit-vs-pht` on discrete-xy at n=150 (33 of
+6,000; the split over five bodies is conservative), 1.15% for `nesting-law`
+on discrete-xy at n=600 (115 of 10,000, one verdict failed) and 0.93% for
+`nesting-law` on isotropic at n=150 (14 of 1,500).
 """
 from __future__ import annotations
 

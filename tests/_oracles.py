@@ -271,12 +271,10 @@ def clip_every_round_zero_cell(sampler, rng):
         verts = [(-r, -r), (r, -r), (r, r), (-r, r)]
         for ph, off in lines:
             c, s = math.cos(ph), math.sin(ph)
-            if off > 0.0:
-                verts = _clip_cell(verts, c, s, off)
-            else:
-                verts = _clip_cell(verts, -c, -s, -off)
-            if verts is None:
+            clipped = _clip_cell(verts, c, s, off) if off > 0.0 else _clip_cell(verts, -c, -s, -off)
+            if clipped is None:
                 raise SimulationAbort("zero cell collapsed below the area tolerance")
+            verts = clipped[0]
         if all(x * x + y * y < (r - EPS_GEOM) ** 2 for x, y in verts):
             return verts
         r_lo, r = r, 2.0 * r
@@ -302,9 +300,10 @@ def capped_zero_cell(sampler, rng, reach: float, scale: float):
     verts = [(-rho, -rho), (rho, -rho), (rho, rho), (-rho, rho)]
     for ph, off in zip(phi.tolist(), offset.tolist()):
         c, s = math.cos(ph), math.sin(ph)
-        verts = _clip_cell(verts, c, s, off) if off > 0.0 else _clip_cell(verts, -c, -s, -off)
-        if verts is None:
+        clipped = _clip_cell(verts, c, s, off) if off > 0.0 else _clip_cell(verts, -c, -s, -off)
+        if clipped is None:
             raise SimulationAbort("zero cell collapsed below the area tolerance")
+        verts = clipped[0]
     return verts
 
 

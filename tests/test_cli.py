@@ -99,6 +99,44 @@ class TestSampleCommands:
         meta = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert meta["seed"] == 3
 
+    @pytest.mark.parametrize("file_data", [None, {"path_length": None}])
+    def test_gamma_path_writes_six_csv_steps_by_default_and_says_so(self, tmp_path, capsys, file_data):
+        out = tmp_path / "path.csv"
+        argv = ["sample", "gamma-path", "--seed", "3", "--out", str(out)]
+        if file_data is not None:
+            cfg = tmp_path / "c.json"
+            cfg.write_text(json.dumps(file_data))
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == "n,vertex_count,area,contains_K"
+        assert len(lines) == 8  # header + 7 path rows
+        meta = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert meta["config"]["format"] == "csv" and meta["config"]["path_length"] == 6
+
+    @pytest.mark.parametrize(
+        "file_format, flag, written",
+        [(None, "json", "json"), ("json", None, "json"), ("csv", None, "csv"), ("json", "csv", "csv")],
+    )
+    def test_gamma_path_format_from_file_or_flag(self, tmp_path, capsys, file_format, flag, written):
+        out = tmp_path / "path.out"
+        argv = ["sample", "gamma-path", "--N", "3", "--seed", "3", "--out", str(out)]
+        if file_format is not None:
+            cfg = tmp_path / "c.json"
+            cfg.write_text(json.dumps({"format": file_format}))
+            argv += ["--config", str(cfg)]
+        if flag is not None:
+            argv += ["--format", flag]
+        assert main(argv) == 0
+        if written == "json":
+            doc = json.loads(out.read_text())
+            assert doc["kind"] == "zero-cell-path" and len(doc["cells"]) == 4
+            meta = doc["meta"]
+        else:
+            assert len(out.read_text().splitlines()) == 5  # header + 4 path rows
+            meta = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert meta["config"]["format"] == written
+
     def test_zerocell_axis_measure_is_rectangle(self, tmp_path):
         out = tmp_path / "zc.json"
         assert main(["sample", "zerocell", "--measure", "discrete-xy", "--seed", "5",

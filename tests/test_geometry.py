@@ -5,6 +5,10 @@ import pytest
 
 from crofton.geometry import (
     ConvexPolygon,
+    _area2,
+    _clip_leq,
+    _rotate_canonical,
+    _tidy,
     Direction,
     HalfPlane,
     Line,
@@ -278,3 +282,55 @@ class TestValidation:
         assert noisy.close_to(exact) and exact.close_to(noisy)
         assert not noisy.close_to(exact, tol=0.0)
         assert not box(-1.0, -1.0, 1.0, 2.0).close_to(exact)
+
+
+def numpy_perimeter(polygon):
+    """The perimeter formula the polygon's cached perimeter must reproduce bit for bit."""
+    v = polygon.vertices
+    return float(np.sum(np.hypot(*(np.roll(v, -1, 0) - v).T)))
+
+
+def random_cyclic_polygon(rng, n: int):
+    """n vertices on a circle of random centre and radius, at sorted random angles."""
+    while True:
+        ang = np.sort(rng.random(n)) * 2.0 * math.pi
+        r = 10.0 ** rng.uniform(-2.0, 2.0)
+        cx, cy = rng.uniform(-5.0, 5.0, 2)
+        try:
+            return ConvexPolygon(np.column_stack([cx + r * np.cos(ang), cy + r * np.sin(ang)]))
+        except ValueError:
+            continue
+
+
+class TestVertexTuples:
+    def test_perimeter_equals_the_numpy_formula_bit_for_bit(self):
+        # the tuple edges must reach np.hypot and np.sum as the array formula's do
+        rng = np.random.default_rng(2024)
+        for n in range(3, 13):
+            for _ in range(1000):
+                p = random_cyclic_polygon(rng, n)
+                assert p.perimeter == numpy_perimeter(p), n
+
+    def test_vertices_are_the_read_only_tuples_from_the_smallest_vertex(self):
+        rng = np.random.default_rng(11)
+        polys = [random_convex_polygon(rng) for _ in range(100)]
+        polys += [c for p in polys for c in split(p, random_hitting_line(rng, p))]
+        for p in polys:
+            v = p.vertices
+            assert not v.flags.writeable and p.vertices is v
+            assert v.tolist() == [list(t) for t in p.as_tuples()]
+            assert p.as_tuples()[0] == min(p.as_tuples())
+            assert p.n_vertices == len(p.as_tuples())
+
+    def test_split_children_carry_the_area_of_their_own_clip(self):
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            p = random_convex_polygon(rng)
+            line = random_hitting_line(rng, p)
+            nx, ny = line.normal
+            sides = [(nx, ny, line.offset), (-nx, -ny, -line.offset)]
+            for child, (a, b, c) in zip(split(p, line), sides):
+                verts = _tidy(_clip_leq(p.as_tuples(), a, b, c))
+                assert child.as_tuples() == _rotate_canonical(verts)
+                assert child.area == 0.5 * _area2(verts)
+                assert child.area == pytest.approx(0.5 * _area2(child.as_tuples()), rel=1e-12)
