@@ -97,11 +97,13 @@ def cmd_sample(args) -> int:
             "path_length": args.n,
             "out": args.out,
             "svg": args.svg,
-            "format": args.format if args.kind == "gamma-path" else None,
+            "format": args.format,
         },
         # gamma-path writes 6 steps as CSV unless a config file or a flag says otherwise
         defaults={"format": "csv", "path_length": 6} if args.kind == "gamma-path" else None,
     )
+    if args.kind != "gamma-path" and cfg.format != "json":
+        raise ConfigError(f"sample {args.kind} writes JSON only, not {cfg.format}")
     seed = cfg.require_seed()
     measure = resolve_measure(cfg.measure)
     rng = master_stream(seed)
@@ -124,28 +126,25 @@ def cmd_sample(args) -> int:
         _write_svg(cell, cfg.svg)
         return 0
 
-    if args.kind == "gamma-path":
-        body = resolve_body(cfg.body)
-        path = sample_gamma_path(measure, cfg.a, cfg.path_length, rng)
-        if args.check:
-            path.validate()
-        if cfg.format == "csv":
-            buf = io.StringIO()
-            write_path_csv(path, buf, body)
-            _emit(buf.getvalue(), cfg.out)
-            sys.stdout.write(json.dumps(meta, sort_keys=True) + "\n")
-        else:
-            doc = {
-                "kind": "zero-cell-path",
-                "a": path.a,
-                "cells": [c.to_json() for c in path.cells],
-                "meta": meta,
-            }
-            _emit(json.dumps(doc, **_JSON_KW), cfg.out)
-        _write_svg(path, cfg.svg)
-        return 0
-
-    raise ConfigError(f"unknown sample kind {args.kind!r}")
+    body = resolve_body(cfg.body)
+    path = sample_gamma_path(measure, cfg.a, cfg.path_length, rng)
+    if args.check:
+        path.validate()
+    if cfg.format == "csv":
+        buf = io.StringIO()
+        write_path_csv(path, buf, body)
+        _emit(buf.getvalue(), cfg.out)
+        sys.stdout.write(json.dumps(meta, sort_keys=True) + "\n")
+    else:
+        doc = {
+            "kind": "zero-cell-path",
+            "a": path.a,
+            "cells": [c.to_json() for c in path.cells],
+            "meta": meta,
+        }
+        _emit(json.dumps(doc, **_JSON_KW), cfg.out)
+    _write_svg(path, cfg.svg)
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +176,8 @@ def cmd_verify(args) -> int:
             "out": args.out,
         },
     )
+    if cfg.format != "json":
+        raise ConfigError(f"verify {args.target} writes JSON only, not {cfg.format}")
     seed = cfg.require_seed()
     measure = resolve_measure(cfg.measure)
     body = resolve_body(cfg.body)

@@ -10,11 +10,16 @@ disc B(c, r) around K have mass 2 r kappa_total, directions from the normalized
 kappa and offsets uniform on c . n +- r; keeping only those that hit K leaves
 the measure restricted to K. One hitting line is the first kept disc line,
 and a Poisson population of hitting lines is a thinned Poisson population of
-disc lines; the zero-cell samplers thin disc lines around the origin.
+disc lines; the zero-cell samplers thin disc lines around the origin. A batch
+of n disc lines is one draw of (w + 1) * n uniforms, w per direction and then
+one per offset. Isotropic and discrete kappa have width w = 1: the doubles of a
+direction draw followed by an offset draw. A mixture is one wider than its
+widest component: one uniform picks the component, which maps the next as its own.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -42,6 +47,7 @@ class Isotropic:
     """Uniform directional measure on [0, pi) with the given total mass."""
 
     mass: float = 1.0
+    _width = 1  # uniforms per direction (a Mixture sets its own), see disc_lines
 
     def __post_init__(self):
         if not (math.isfinite(self.mass) and self.mass > 0.0):
@@ -53,6 +59,7 @@ class Discrete:
     """Finitely many direction atoms (phi, weight), phi in [0, pi), weight > 0."""
 
     atoms: tuple
+    _width = 1
 
     def __post_init__(self):
         atoms = tuple((float(p), float(w)) for p, w in self.atoms)
@@ -69,13 +76,13 @@ class Discrete:
 
     @cached_property
     def _table(self):
-        """(atom angles, cumulative weights) for _sample_directions; not a field, so eq and hash ignore it."""
-        return np.array([p for p, _ in self.atoms]), np.cumsum([w for _, w in self.atoms])
+        """(atom angles, cumulative weights) as float lists, for _directions; not a field, so eq and hash ignore it."""
+        return [p for p, _ in self.atoms], np.cumsum([w for _, w in self.atoms]).tolist()
 
     @cached_property
     def _normals(self):
         """(atom weights, (2, k) atom normals (cos phi, sin phi)) for lambda_of, cached like _table."""
-        phis = self._table[0]
+        phis = np.array(self._table[0])
         return np.array([w for _, w in self.atoms]), np.stack([np.cos(phis), np.sin(phis)])
 
 
@@ -95,11 +102,9 @@ class Mixture:
                 raise TypeError(f"unsupported component {type(m).__name__}")
             if not (math.isfinite(w) and w > 0.0):
                 raise ValueError(f"component weight must be positive, got {w}")
-
-    @cached_property
-    def _cum(self):
-        """Cumulative component masses, for _sample_directions."""
-        return np.cumsum(np.array([w * kappa_total(m) for m, w in self.components]))
+        # for _directions, not fields (eq and hash ignore them): cumulative masses, uniforms per direction
+        object.__setattr__(self, "_cum", np.cumsum([w * kappa_total(m) for m, w in comps]).tolist())
+        object.__setattr__(self, "_width", 1 + max(m._width for m, _ in comps))
 
 
 def kappa_total(kappa) -> float:
@@ -209,40 +214,34 @@ def lambda_of(measure, body: ConvexPolygon) -> float:
 # sampling
 
 
-def _sample_directions(kappa, rng, n: int) -> np.ndarray:
-    """Directions distributed as normalized kappa (the marginal for ball-hitting lines)."""
+def _directions(kappa, u: list):
+    """Directions of the normalized kappa (the marginal for ball-hitting lines), lazily, the
+    i-th from u[i * w:(i + 1) * w], w = kappa._width; an atom or component is picked by its
+    cumulative weight, clamped to the last, so every angle lies in [0, pi) for u in [0, 1)."""
     if isinstance(kappa, Isotropic):
-        return rng.random(n) * math.pi
+        return map(math.pi.__mul__, u)  # pi * u is u * pi bit for bit: IEEE products commute
     if isinstance(kappa, Discrete):
         phis, cum = kappa._table
-        idx = np.searchsorted(cum, rng.random(n) * cum[-1], side="right")
-        return phis[np.minimum(idx, len(phis) - 1)]
+        return (phis[min(bisect_right(cum, x * cum[-1]), len(cum) - 1)] for x in u)
     if isinstance(kappa, Mixture):
-        cum = kappa._cum
-        comp = np.searchsorted(cum, rng.random(n) * cum[-1], side="right")
-        comp = np.minimum(comp, len(cum) - 1)
-        out = np.empty(n)
-        for j, (m, _) in enumerate(kappa.components):
-            mask = comp == j
-            k = int(mask.sum())
-            if k:
-                out[mask] = _sample_directions(m, rng, k)
-        return out
+        cum, comps, w = kappa._cum, kappa.components, kappa._width
+        return (next(_directions(comps[min(bisect_right(cum, u[i] * cum[-1]), len(cum) - 1)][0], u[i + 1:i + w]))
+                for i in range(0, len(u), w))
     raise TypeError(f"not a directional measure: {type(kappa).__name__}")
 
 
 def disc_lines(kappa, rng, count: int, cx: float, cy: float, r: float) -> list:
     """count i.i.d. lines of kappa hitting the disc B((cx, cy), r), as Python float tuples
     (phi, cos phi, sin phi, offset): directions from the normalized kappa, offsets uniform
-    on c . n +- r. A Poisson(t * 2 r kappa_total) count of them is the Poisson line
-    population of the disc at time t; callers draw that count themselves."""
+    on c . n +- r, all from one uniform draw. A Poisson(t * 2 r kappa_total) count of them
+    is the Poisson line population of the disc at time t; callers draw that count themselves."""
     if not count:  # a draw of no numbers leaves the generator as it was, so skipping it keeps the stream
         return []
-    phis = _sample_directions(kappa, rng, count).tolist()
+    u = rng.random((kappa._width + 1) * count).tolist()
     out = []
-    for phi, u in zip(phis, rng.random(count).tolist()):
+    for v, phi in zip(u[-count:], _directions(kappa, u)):  # offsets first: zip asks for no extra direction
         c, s = math.cos(phi), math.sin(phi)
-        out.append((phi, c, s, cx * c + cy * s + r * (2.0 * u - 1.0)))
+        out.append((phi, c, s, cx * c + cy * s + r * (2.0 * v - 1.0)))
     return out
 
 

@@ -185,37 +185,37 @@ class _PolyZeroCellSampler:
         """(m, n_bodies) array: per zero cell and body of `gauge_bodies`, the largest c <= 1
         with c * body inside scale * zero cell.
 
-        A line at distance d cuts c * body out of scale * cell exactly when c > scale * d / h,
-        h the body's support in the line's normal, and no line with h <= 0 cuts any c * body
-        with c >= 0, so the body need not contain the origin. As h is at most the largest
-        vertex norm R, only lines hitting the ball of radius R / scale can bring c below 1:
-        by Crofton those hitting radius rho = max R / scale are one Poisson draw of mass
-        2 * rho * kt. A body no line cuts gets exactly 1.0.
+        A line at distance d cuts c * body out of scale * cell exactly when c > scale * d / h, h the
+        body's support in the line's normal; no line with h <= 0 cuts any c * body with c >= 0, so
+        the body need not contain the origin. As h is at most the largest vertex norm R, only lines
+        hitting B_(R / scale) can bring c below 1: by Crofton those hitting radius rho = max R / scale
+        are one Poisson draw of mass 2 * rho * kt. A body no line cuts gets exactly 1.0.
         """
+        return np.array(self._gauge_rows(rng, bodies, scale, m)).reshape(m, len(bodies))
+
+    def _gauge_rows(self, rng, bodies, scale: float, m: int) -> list:  # the rows of `gauges` in one flat list
         rho = max(r for _, r in bodies) / scale
-        out = np.empty((m, len(bodies)))
-        for row in out:
-            count = int(rng.poisson(self.time * 2.0 * rho * self.kt))
-            # (scale * distance, unit normal from the origin towards the line)
-            lines = [(scale * off, c, s) if off > 0.0 else (-scale * off, -c, -s)
-                     for _, c, s, off in disc_lines(self.kappa, rng, count, 0.0, 0.0, rho)]
-            for j, (verts, r) in enumerate(bodies):
-                g = 1.0
-                for d, c, s in lines:
-                    if d < g * r:
+        mean = self.time * 2.0 * rho * self.kt
+        rows = []
+        for _ in range(m):
+            g = [1.0] * len(bodies)
+            for _, c, s, off in disc_lines(self.kappa, rng, int(rng.poisson(mean)), 0.0, 0.0, rho):
+                # scale * distance, and the unit normal from the origin towards the line
+                d, c, s = (scale * off, c, s) if off > 0.0 else (-scale * off, -c, -s)
+                for j, (verts, r) in enumerate(bodies):
+                    if d < g[j] * r:
                         h = max([c * x + s * y for x, y in verts])
                         if h > 0.0:
-                            g = min(g, d / h)
-                row[j] = g
-        return out
+                            g[j] = min(g[j], d / h)
+            rows += g
+        return rows
 
     def path_gauges(self, rng, bodies, m: int, n_steps: int, f: float):
         """Gauges of m paths' start cells, then of each step's m fresh f-scaled cells: one path at a time."""
-        out = np.empty((n_steps + 1, m, len(bodies)))
-        for p in range(m):
-            out[0, p] = self.gauges(rng, bodies, 1.0, 1)
-            out[1:, p] = self.gauges(rng, bodies, f, n_steps)
-        yield from out
+        rows = []
+        for _ in range(m):
+            rows += self._gauge_rows(rng, bodies, 1.0, 1) + self._gauge_rows(rng, bodies, f, n_steps)
+        yield from np.array(rows).reshape(m, n_steps + 1, len(bodies)).swapaxes(0, 1)
 
 
 def _zero_cell_sampler(measure: LineMeasure, time: float = 1.0, r_max_factor: float = DEFAULT_R_MAX_FACTOR):

@@ -12,7 +12,11 @@ gauge path bits bit for bit and on the doubling route pins the cells of
 `sample_gamma_path` vertex for vertex, a rectangle path engine that steps
 bound arrays and tests boxes, which pins the axis gauge path bits bit for bit,
 the exact law of the path bits, which draws no line at all, and renewal sets
-read off the path bits, which cross-check the delay estimators.
+read off the path bits, which cross-check the delay estimators. Disc-line
+draws come in two numpy forms: the former two-call draw (directions, then
+offsets), which pins the one-draw `measure.disc_lines` for isotropic and
+discrete measures, and the one-draw order itself, which the same-lines
+oracles use.
 """
 from __future__ import annotations
 
@@ -35,7 +39,7 @@ from crofton.geometry import (
     rects_contain_boxes,
     width,
 )
-from crofton.measure import LineMeasure, _sample_directions, lambda_of, sample_hitting
+from crofton.measure import Discrete, Isotropic, LineMeasure, Mixture, lambda_of, sample_hitting
 from crofton.tessellation import DEFAULT_MAX_JUMPS
 from crofton.zero_cell import _RectBatchZeroCells
 from crofton.geometry import split as geom_split
@@ -248,6 +252,76 @@ def four_scatter_rect_zero_cells(batch, rng, m: int, stats: dict):
     return x0, x1, y0, y1
 
 
+def _kappa_mass(kappa) -> float:
+    if isinstance(kappa, Mixture):
+        return sum(w * _kappa_mass(m) for m, w in kappa.components)
+    return kappa.mass if isinstance(kappa, Isotropic) else sum(w for _, w in kappa.atoms)
+
+
+def _kappa_width(kappa) -> int:
+    if isinstance(kappa, Mixture):
+        return 1 + max(_kappa_width(m) for m, _ in kappa.components)
+    return 1
+
+
+def _pick(weights, u: np.ndarray) -> np.ndarray:
+    """Index of the weight each uniform picks by cumulative weight, clamped to the last."""
+    cum = np.cumsum(weights)
+    return np.minimum(np.searchsorted(cum, u * cum[-1], side="right"), len(cum) - 1)
+
+
+def _atom_directions(kappa, u: np.ndarray) -> np.ndarray:
+    """One direction of an isotropic or discrete kappa per uniform."""
+    if isinstance(kappa, Isotropic):
+        return u * math.pi
+    return np.array([p for p, _ in kappa.atoms])[_pick([w for _, w in kappa.atoms], u)]
+
+
+def _component_picks(kappa, u: np.ndarray):
+    """(component, mask of the uniforms that picked it) per component of a mixture."""
+    comp = _pick([w * _kappa_mass(m) for m, w in kappa.components], u)
+    return [(m, comp == j) for j, (m, _) in enumerate(kappa.components)]
+
+
+def two_call_directions(kappa, rng, n: int) -> np.ndarray:
+    """n directions of the normalized kappa, drawn the way `disc_lines` drew them before it
+    made one uniform draw per batch: one numpy draw per level, a mixture's components
+    drawing in turn for the lines that picked them."""
+    if not isinstance(kappa, Mixture):
+        return _atom_directions(kappa, rng.random(n))
+    out = np.empty(n)
+    for m, mask in _component_picks(kappa, rng.random(n)):
+        k = int(mask.sum())
+        if k:
+            out[mask] = two_call_directions(m, rng, k)
+    return out
+
+
+def two_call_disc_draw(kappa, rng, count: int):
+    """(directions, offset uniforms) of count disc lines by the two-call draw: the directions,
+    then count uniforms for the offsets."""
+    return two_call_directions(kappa, rng, count), rng.random(count)
+
+
+def _row_directions(kappa, u: np.ndarray) -> np.ndarray:
+    """One direction per row of the (n, width) uniform array u, each row read from its front."""
+    if not isinstance(kappa, Mixture):
+        return _atom_directions(kappa, u[:, 0])
+    out = np.empty(len(u))
+    for m, mask in _component_picks(kappa, u[:, 0]):
+        out[mask] = _row_directions(m, u[mask, 1:])
+    return out
+
+
+def one_draw_disc_draw(kappa, rng, count: int):
+    """(directions, offset uniforms) of count disc lines in the order of `disc_lines`: one
+    draw of (w + 1) * count uniforms, line i's direction from row i of the first w * count
+    taken as a (count, w) array, its offset uniform from the last count."""
+    w = _kappa_width(kappa)
+    u = rng.random((w + 1) * count)
+    return _row_directions(kappa, u[:w * count].reshape(count, w)), u[w * count:]
+
+
 def clip_every_round_zero_cell(sampler, rng):
     """The polygon sampler that clips the box B_r by all lines in every doubling round.
 
@@ -264,8 +338,8 @@ def clip_every_round_zero_cell(sampler, rng):
     r_lo, r = 0.0, sampler.r0
     while True:
         count = int(rng.poisson(sampler.time * 2.0 * r * sampler.kt))
-        phi = _sample_directions(sampler.kappa, rng, count)
-        offset = r * (2.0 * rng.random(count) - 1.0)
+        phi, u = one_draw_disc_draw(sampler.kappa, rng, count)
+        offset = r * (2.0 * u - 1.0)
         keep = np.abs(offset) > r_lo
         lines.extend(zip(phi[keep].tolist(), offset[keep].tolist()))
         verts = [(-r, -r), (r, -r), (r, r), (-r, r)]
@@ -295,8 +369,8 @@ def capped_zero_cell(sampler, rng, reach: float, scale: float):
     """
     rho = reach / scale
     count = int(rng.poisson(sampler.time * 2.0 * rho * sampler.kt))
-    phi = _sample_directions(sampler.kappa, rng, count)
-    offset = rho * (2.0 * rng.random(count) - 1.0)
+    phi, u = one_draw_disc_draw(sampler.kappa, rng, count)
+    offset = rho * (2.0 * u - 1.0)
     verts = [(-rho, -rho), (rho, -rho), (rho, rho), (-rho, rho)]
     for ph, off in zip(phi.tolist(), offset.tolist()):
         c, s = math.cos(ph), math.sin(ph)

@@ -137,6 +137,37 @@ class TestSampleCommands:
             meta = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert meta["config"]["format"] == written
 
+    @pytest.mark.parametrize("kind", ["stit", "pht", "zerocell"])
+    def test_json_only_kinds_refuse_a_csv_flag(self, tmp_path, capsys, kind):
+        out = tmp_path / "x.json"
+        assert main(["sample", kind, "--format", "csv", "--seed", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"sample {kind} writes JSON only" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["sample", "stit"], ["sample", "zerocell"], ["verify", "q"]], ids=" ".join)
+    def test_json_only_commands_refuse_csv_from_a_file(self, tmp_path, capsys, argv):
+        cfg, out = tmp_path / "c.json", tmp_path / "x.json"
+        cfg.write_text(json.dumps({"format": "csv"}))
+        assert main([*argv, "--config", str(cfg), "--seed", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{' '.join(argv)} writes JSON only" in err
+        assert not out.exists()
+
+    def test_json_only_default_run_says_json(self, tmp_path):
+        # a default run and an explicit json format from a flag or a file write the same bytes
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"format": "json"}))
+        runs = {"default": [], "flag": ["--format", "json"], "file": ["--config", str(cfg)]}
+        blobs = {}
+        for name, extra in runs.items():
+            out = tmp_path / f"{name}.json"
+            assert main(["sample", "zerocell", "--measure", "isotropic", "--seed", "4", *extra,
+                         "--out", str(out)]) == 0
+            blobs[name] = out.read_bytes()
+        assert blobs["flag"] == blobs["default"] == blobs["file"]
+        assert json.loads(blobs["default"])["meta"]["config"]["format"] == "json"
+
     def test_zerocell_axis_measure_is_rectangle(self, tmp_path):
         out = tmp_path / "zc.json"
         assert main(["sample", "zerocell", "--measure", "discrete-xy", "--seed", "5",

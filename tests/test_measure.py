@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import chi2_contingency, kstest
+from scipy.stats import chi2_contingency, chisquare, kstest
 
 from crofton.geometry import Direction, box, centered_square, regular_polygon, scale, translate, width
 from crofton.measure import (
@@ -10,6 +10,7 @@ from crofton.measure import (
     Isotropic,
     LineMeasure,
     Mixture,
+    disc_lines,
     discrete_xy,
     isotropic,
     kappa_from_config,
@@ -20,10 +21,19 @@ from crofton.measure import (
 )
 from crofton.rng import substream
 
-from _oracles import isotropic_lambda_by_quadrature, random_convex_polygon
+from _oracles import isotropic_lambda_by_quadrature, random_convex_polygon, two_call_disc_draw
 
 UNIT = box(0.0, 0.0, 1.0, 1.0)
 MIXTURE = LineMeasure(Mixture(((Isotropic(0.5), 1.0), (Discrete(((0.3, 1.0), (1.1, 0.5))), 0.7))))
+# width 3: a component pick, then the nested mixture's own pick and its component's uniform
+NESTED = Mixture(((Isotropic(0.5), 1.0),
+                  (Mixture(((Discrete(((0.3, 1.0), (1.1, 0.5))), 1.0), (Isotropic(1.0), 0.5))), 0.7)))
+ONE_WIDTH = {
+    "isotropic": Isotropic(),
+    "isotropic:2.5": Isotropic(2.5),
+    "discrete-xy": discrete_xy().kappa,
+    "three-atoms": Discrete(((0.0, 0.4), (1.0, 0.7), (2.2, 0.5))),
+}
 
 
 class TestLambdaOf:
@@ -158,6 +168,61 @@ class TestSampleHitting:
             phis = np.array([sample_hitting(isotropic(), body, rng).direction.phi for _ in range(n)])
             est = float(((phis >= lo) & (phis < hi)).mean())
             assert abs(est - target) <= 3.0 * math.sqrt(target * (1 - target) / n)
+
+
+class _Uniforms:
+    """A generator stand-in whose `random(n)` returns n copies of u and records n."""
+
+    def __init__(self, u: float):
+        self.u, self.sizes = u, []
+
+    def random(self, n):
+        self.sizes.append(n)
+        return np.full(n, self.u)
+
+
+class TestDiscLines:
+    @pytest.mark.parametrize("name", sorted(ONE_WIDTH))
+    def test_one_draw_gives_the_two_call_lines_and_end_state(self, name):
+        # one uniform draw per batch draws the doubles of a direction draw followed by an
+        # offset draw, so every isotropic and discrete stream is the two-call draw's
+        kappa = ONE_WIDTH[name]
+        cx, cy, r = 0.3, -1.7, 2.5
+        for count in range(41):
+            rng, want_rng = substream(count, 61), substream(count, 61)
+            phis, us = two_call_disc_draw(kappa, want_rng, count)
+            want = [(p, math.cos(p), math.sin(p), cx * math.cos(p) + cy * math.sin(p) + r * (2.0 * u - 1.0))
+                    for p, u in zip(phis.tolist(), us.tolist())]
+            assert disc_lines(kappa, rng, count, cx, cy, r) == want
+            assert repr(rng.bit_generator.state) == repr(want_rng.bit_generator.state)
+
+    def test_mixture_component_and_direction_law(self):
+        # n = 60,000 disc lines of NESTED: masses 0.5 (isotropic), 0.7 * 1.0 (atom 0.3),
+        # 0.7 * 0.5 (atom 1.1) and 0.7 * 0.5 (isotropic) of 1.9; chi-square of the atom
+        # counts and KS of the other directions against uniform on [0, pi), each at level 1e-3
+        rng = substream(137, 0)
+        counts = (1, 2, 3, 7, 11, 16) * 1500
+        phis = np.array([line[0] for count in counts for line in disc_lines(NESTED, rng, count, 0.0, 0.0, 1.0)])
+        assert len(phis) == 60_000
+        atom_3, atom_11 = phis == 0.3, phis == 1.1
+        observed = [atom_3.sum(), atom_11.sum(), len(phis) - atom_3.sum() - atom_11.sum()]
+        expected = len(phis) * np.array([0.7, 0.35, 0.85]) / 1.9
+        assert chisquare(observed, expected).pvalue > 1e-3
+        uniform = phis[~(atom_3 | atom_11)]
+        assert kstest(uniform / math.pi, "uniform").pvalue > 1e-3
+
+    @pytest.mark.parametrize("kappa", [Isotropic(), ONE_WIDTH["three-atoms"], NESTED],
+                             ids=["isotropic", "three-atoms", "nested-mixture"])
+    def test_angles_stay_below_pi_at_the_largest_uniform(self, kappa):
+        # u = 1 - 2^-53, the largest double below 1, picks the last atom or component, and
+        # pi * u rounds below pi; u = 0 picks the first
+        for u in (0.0, 1.0 - 2.0**-53):
+            rng = _Uniforms(u)
+            lines = disc_lines(kappa, rng, 5, 0.0, 0.0, 1.0)
+            assert len(lines) == 5 and all(0.0 <= phi < math.pi for phi, *_ in lines)
+            assert all(Direction(phi).phi == phi for phi, *_ in lines)
+        width = 3 if kappa is NESTED else 1
+        assert rng.sizes == [5 * (width + 1)]
 
 
 class TestPoissonHitting:
